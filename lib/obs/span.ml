@@ -60,15 +60,27 @@ let spans t = List.rev t.rev_all
 
 let ambient_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
+(* How many [with_ambient] bodies are running, over all domains.  At zero
+   no domain has a collector installed, so [get_ambient] can answer
+   without the domain-local lookup: protocol steps ask on every round. *)
+let installed = Atomic.make 0
+
 let with_ambient t f =
   let prev = Domain.DLS.get ambient_key in
   Domain.DLS.set ambient_key (Some t);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key prev) f
+  Atomic.incr installed;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.decr installed;
+      Domain.DLS.set ambient_key prev)
+    f
 
 let get_ambient () =
-  match Domain.DLS.get ambient_key with
-  | Some t when Registry.enabled () -> Some t
-  | _ -> None
+  if Atomic.get installed = 0 then None
+  else
+    match Domain.DLS.get ambient_key with
+    | Some t when Registry.enabled () -> Some t
+    | _ -> None
 
 let active () = match get_ambient () with Some _ -> true | None -> false
 

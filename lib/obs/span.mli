@@ -64,8 +64,9 @@ val spans : t -> span list
 (** {2 Protocol-facing (ambient)}
 
     All of these are no-ops unless a collector is ambient {e and}
-    telemetry is enabled, so un-instrumented runs pay one domain-local
-    read per call site. *)
+    telemetry is enabled.  While no domain is inside {!with_ambient},
+    each call site pays one atomic read and skips the domain-local
+    lookup. *)
 
 val active : unit -> bool
 (** Cheap guard for instrumentation blocks that do more than one call. *)

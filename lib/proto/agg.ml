@@ -20,6 +20,7 @@ type node = {
   mutable parent : int;
   mutable children : int list;
   ancestors : int array;  (* length 2t+1, index 0 = me, -1 = undefined *)
+  budget : int;  (* Params.agg_bit_budget p *)
   mutable tc_send_round : int;  (* when to send our own tree_construct; -1 = never *)
   mutable psum : int;
   mutable max_level : int;
@@ -70,6 +71,7 @@ let create ?(ablation = Full) (p : Params.t) ~me =
     parent = -1;
     children = [];
     ancestors;
+    budget = Params.agg_bit_budget p;
     tc_send_round = (if is_root then 1 else -1);
     psum = p.Params.inputs.(me);
     max_level = (if is_root then 0 else -1);
@@ -225,7 +227,9 @@ let rec p2p_intake node = function
     (match body with
     | Message.Ack { parent } when parent = node.me ->
       node.children <- sender :: node.children
-    | Message.Aggregation { psum; max_level } when List.mem sender node.children ->
+    (* Ids are immediate ints, so [memq] is equality without the
+       polymorphic compare of [List.mem]. *)
+    | Message.Aggregation { psum; max_level } when List.memq sender node.children ->
       Hashtbl.replace node.child_psums sender (psum, max_level)
     | Message.Flooded_psum _ when sender = node.parent -> node.parent_flood_ever <- true
     | _ -> ());
@@ -340,7 +344,7 @@ let step node ~rr ~inbox =
     (* 5. Budget enforcement (§4): flood the abort symbol at the threshold. *)
     let cost = bits_of p 0 outgoing in
     let outgoing =
-      if node.sent_bits + cost > Params.agg_bit_budget p then begin
+      if node.sent_bits + cost > node.budget then begin
         node.abort_seen <- true;
         ignore (Flood.originate node.flood Message.Agg_abort);
         ignore (Flood.drain node.flood);

@@ -3,14 +3,18 @@ type 'body t = {
   mutable outbox : 'body list;  (* reversed *)
 }
 
-let create () = { table = Hashtbl.create 32; outbox = [] }
+(* Every node of a run holds one table, so its initial size is paid n
+   times over; most nodes see only a few distinct bodies. *)
+let create () = { table = Hashtbl.create 16; outbox = [] }
 
 let seen t body = Hashtbl.mem t.table body
 
 let receive t body =
   if seen t body then false
   else begin
-    Hashtbl.replace t.table body ();
+    (* [body] is absent, so [add] does what [replace] would without
+       scanning its bucket again. *)
+    Hashtbl.add t.table body ();
     t.outbox <- body :: t.outbox;
     true
   end

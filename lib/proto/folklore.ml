@@ -77,7 +77,9 @@ let step node ~rr ~inbox =
       (fun (sender, body) ->
         match body with
         | Message.Ack { parent } when parent = node.me -> es.children <- sender :: es.children
-        | Message.Aggregation { psum; max_level = _ } when List.mem sender es.children ->
+        (* Ids are immediate ints, so [memq] is equality without the
+           polymorphic compare of [List.mem]. *)
+        | Message.Aggregation { psum; max_level = _ } when List.memq sender es.children ->
           Hashtbl.replace es.child_psums sender psum
         | _ -> ())
       inbox;

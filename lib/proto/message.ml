@@ -21,11 +21,57 @@ type t = { exec : int; body : body }
 
 let tag_bits = 5
 
+(* The field widths of one parameter set, with the key they were computed
+   from.  The key is everything the widths read — [n], [c·d], [max_input]
+   and the CAAF (physically: its [domain_bits] is a closure) — and not the
+   [Params.t] record itself: [Tradeoff] rebuilds [{ p with t }] per node,
+   which an identity key would miss, while [Selection] and [Derived]
+   rebuild params with another CAAF or [max_input], which a cache stored
+   alongside the old params would answer wrongly. *)
+type widths = {
+  key_n : int;
+  key_cd : int;
+  key_max_input : int;
+  key_caaf : Ftagg_caaf.Caaf.t;
+  id : int;
+  level : int;
+  value : int;
+  input : int;
+}
+
+let widths_of (p : Params.t) =
+  {
+    key_n = p.n;
+    key_cd = Params.cd p;
+    key_max_input = p.max_input;
+    key_caaf = p.caaf;
+    id = Params.id_bits p;
+    level = Params.level_bits p;
+    value = Params.value_bits p;
+    input = max 1 (Ftagg_util.Bits.bits_for_value p.max_input);
+  }
+
+(* One entry: a run prices every payload under one parameter set, so the
+   last widths computed are almost always the ones asked for next.  The
+   record is immutable, so a domain that races another's store reads
+   either entry whole. *)
+let memo : widths option Atomic.t = Atomic.make None
+
+let widths (p : Params.t) =
+  match Atomic.get memo with
+  | Some w
+    when w.key_n = p.n
+         && w.key_cd = Params.cd p
+         && w.key_max_input = p.max_input
+         && w.key_caaf == p.caaf ->
+    w
+  | _ ->
+    let w = widths_of p in
+    Atomic.set memo (Some w);
+    w
+
 let bits p body =
-  let id = Params.id_bits p in
-  let level = Params.level_bits p in
-  let value = Params.value_bits p in
-  let input = max 1 (Ftagg_util.Bits.bits_for_value p.Params.max_input) in
+  let { id; level; value; input; _ } = widths p in
   let fields =
     match body with
     | Tree_construct { level = _; ancestors } -> level + (List.length ancestors * id)

@@ -13,6 +13,7 @@ type node = {
   children : int list;
   ancestors : int array;
   max_level : int;
+  budget : int;  (* Params.veri_bit_budget p *)
   crit : (int, unit) Hashtbl.t;  (* critical failures, carried over from AGG *)
   failed_parents : (int, int) Hashtbl.t;  (* claimed node -> max depth claimed *)
   failed_children : (int, unit) Hashtbl.t;
@@ -38,6 +39,7 @@ let create (p : Params.t) ~me ~from_agg =
     children = Agg.children from_agg;
     ancestors = Agg.ancestors from_agg;
     max_level = Agg.max_level from_agg;
+    budget = Params.veri_bit_budget p;
     crit;
     failed_parents = Hashtbl.create 4;
     failed_children = Hashtbl.create 4;
@@ -188,7 +190,7 @@ let step node ~rr ~inbox =
     (* Budget enforcement (§5.1). *)
     let cost = List.fold_left (fun acc b -> acc + Message.bits p b) 0 outgoing in
     let outgoing =
-      if node.sent_bits + cost > Params.veri_bit_budget p then begin
+      if node.sent_bits + cost > node.budget then begin
         node.overflow <- true;
         ignore (Flood.originate node.flood Message.Veri_overflow);
         ignore (Flood.drain node.flood);

@@ -114,9 +114,10 @@ let run ?(domains = 1) ?meter ?pool ?registry ~graph ~failures ~max_rounds ~seed
             !acc
           end
         in
-        let state', out = proto.Engine.step ~round:r ~me:u ~state:states.(u) ~inbox in
-        states.(u) <- state';
-        Array.unsafe_set nextflight u out;
+        let state = Array.unsafe_get states u in
+        let state', out = proto.Engine.step ~round:r ~me:u ~state ~inbox in
+        if state' != state then Array.unsafe_set states u state';
+        Engine.set_broadcast nextflight u out;
         match out with
         | [] -> Bytes.unsafe_set nxt u '\000'
         | _ ->
@@ -126,7 +127,7 @@ let run ?(domains = 1) ?meter ?pool ?registry ~graph ~failures ~max_rounds ~seed
           Metrics.charge metrics ~node:u ~bits
       end
       else begin
-        Array.unsafe_set nextflight u [];
+        Engine.set_broadcast nextflight u [];
         Bytes.unsafe_set nxt u '\000'
       end
     done;
@@ -200,7 +201,8 @@ let run ?(domains = 1) ?meter ?pool ?registry ~graph ~failures ~max_rounds ~seed
         (match failed with
         | Some (partition, fr, e) -> raise (Partition_failed { round = fr; partition; exn = e })
         | None -> ());
-        (* Swap the double buffers — every slot was written this round. *)
+        (* Swap the double buffers: every slot holds this round's
+           broadcast (stored only on change, see Engine.set_broadcast). *)
         let fl = sh.inflight in
         sh.inflight <- sh.nextflight;
         sh.nextflight <- fl;

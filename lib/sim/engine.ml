@@ -256,6 +256,15 @@ let rec sum_bits msg_bits acc = function
   | [] -> acc
   | m :: tl -> sum_bits msg_bits (acc + msg_bits m) tl
 
+(* Store node [u]'s broadcast for this round into [slots], which holds
+   its broadcast of two rounds ago.  Most nodes send nothing in most
+   rounds and sent nothing before, so an empty broadcast over an empty
+   slot skips the store and its write barrier. *)
+let set_broadcast slots u out =
+  match out with
+  | [] -> ( match Array.unsafe_get slots u with [] -> () | _ -> Array.unsafe_set slots u [])
+  | _ -> Array.unsafe_set slots u out
+
 (* Fast path: identical observable behaviour to [run_reference], but the
    delivery loop walks a CSR snapshot of the adjacency with no per-round
    set filtering, no [List.concat_map] churn and no closure allocation —
@@ -332,9 +341,12 @@ let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
             end
           end
         in
-        let state', out = proto.step ~round:r ~me:u ~state:states.(u) ~inbox in
-        states.(u) <- state';
-        nextflight.(u) <- out;
+        let state = Array.unsafe_get states u in
+        let state', out = proto.step ~round:r ~me:u ~state ~inbox in
+        (* Protocols that mutate their state in place return it as is:
+           skip the store and its write barrier. *)
+        if state' != state then Array.unsafe_set states u state';
+        set_broadcast nextflight u out;
         (match observer with Some f -> f ~round:r ~node:u out | None -> ());
         (* An empty broadcast charges 0 bits and no message — skip the
            fold and the metrics write entirely. *)
@@ -348,9 +360,10 @@ let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
           | Some o -> Obs.on_broadcast o ~round:r ~node:u ~msgs:(List.length out) ~bits
           | None -> ()))
       end
-      else nextflight.(u) <- []
+      else set_broadcast nextflight u []
     done;
-    (* Every slot of [nextflight] was written above, so swapping the two
+    (* Every slot of [nextflight] now holds this round's broadcast (a
+       slot is stored only when its content changes), so swapping the two
        arrays replaces the reference's blit + fill without copying. *)
     in_flight := nextflight;
     next_flight := inflight;

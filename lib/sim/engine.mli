@@ -179,6 +179,12 @@ val deliver : int -> 'm list -> (int * 'm) list -> (int * 'm) list
 val sum_bits : ('m -> int) -> int -> 'm list -> int
 (** [sum_bits msg_bits acc msgs] folds the per-payload bit widths. *)
 
+val set_broadcast : 'm list array -> int -> 'm list -> unit
+(** [set_broadcast slots u out] makes [slots.(u)] hold [out], storing
+    only when the slot's content changes: an empty broadcast over an
+    empty slot is no store at all.  No bounds check: [u] must be a valid
+    index of [slots]. *)
+
 val run_reference :
   ?observer:(round:int -> node:int -> 'msg list -> unit) ->
   ?loss:float ->

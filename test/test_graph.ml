@@ -61,6 +61,27 @@ let test_diameter_disconnected () =
   check_true "disconnected diameter" (Path.diameter g = None);
   check_true "not connected" (not (Path.is_connected g))
 
+(* The per-node eccentricity fold [Path.diameter] computed before it
+   moved to one CSR snapshot, kept as the reference. *)
+let diameter_by_eccentricity g =
+  Graph.fold_nodes
+    (fun u acc ->
+      match (acc, Path.eccentricity g u) with
+      | Some m, Some e -> Some (max m e)
+      | _ -> None)
+    g (Some 0)
+
+let test_diameter_removed_nodes () =
+  let g = Gen.path 6 in
+  check_true "cut vertex removed: disconnected"
+    (Path.diameter (Graph.remove_nodes g [ 2 ]) = None);
+  check_true "tail removed: shorter path" (Path.diameter (Graph.remove_nodes g [ 5 ]) = Some 4);
+  check_true "every node removed"
+    (Path.diameter (Graph.remove_nodes g [ 0; 1; 2; 3; 4; 5 ]) = Some 0);
+  let ring = Gen.ring 8 in
+  check_true "ring minus one node is a path"
+    (Path.diameter (Graph.remove_nodes ring [ 4 ]) = Some 6)
+
 let test_component_of () =
   let g = Graph.of_edges ~n:5 [ (0, 1); (1, 2); (3, 4) ] in
   check_true "component of 0" (Path.component_of g 0 = [ 0; 1; 2 ]);
@@ -128,6 +149,29 @@ let qcheck_tests =
         let g = Topo.random_connected ~n ~p:0.1 ~seed in
         let dist = Path.bfs g 0 in
         List.for_all (fun (u, v) -> abs (dist.(u) - dist.(v)) <= 1) (edge_list g));
+    Test.make ~name:"diameter equals the eccentricity fold, nodes removed or not" ~count:30
+      (pair (int_range 12 40) small_int)
+      (fun (n, seed) ->
+        let removed = [ 1 + (seed mod (n - 1)); 1 + ((seed * 7) mod (n - 1)) ] in
+        List.for_all
+          (fun (_, fam) ->
+            let g = Topo.build fam ~n ~seed in
+            let g' = Graph.remove_nodes g removed in
+            Path.diameter g = diameter_by_eccentricity g
+            && Path.diameter g' = diameter_by_eccentricity g')
+          (Topo.all_families ~seed));
+    Test.make ~name:"diameter is None exactly when disconnected" ~count:40
+      (pair (int_range 4 30) small_int)
+      (fun (n, seed) ->
+        let g = Topo.random_connected ~n ~p:0.05 ~seed in
+        let removed = [ 1 + (seed mod (n - 1)); 1 + ((seed * 3) mod (n - 1)) ] in
+        let g' = Graph.remove_nodes g removed in
+        let halves =
+          Graph.of_edges ~n:(2 * n)
+            (List.concat_map (fun (u, v) -> [ (u, v); (u + n, v + n) ]) (edge_list g))
+        in
+        (Path.diameter g' = None) = not (Path.is_connected g')
+        && Path.diameter halves = None);
     Test.make ~name:"removing nodes never adds reachability" ~count:40
       (pair (int_range 6 40) small_int)
       (fun (n, seed) ->
@@ -152,6 +196,7 @@ let suite =
       ("path: bfs unreachable", test_bfs_unreachable);
       ("path: diameters of families", test_diameter_families);
       ("path: disconnected", test_diameter_disconnected);
+      ("path: diameter with removed nodes", test_diameter_removed_nodes);
       ("path: components", test_component_of);
       ("gen: grid structure", test_grid_structure);
       ("gen: binary tree structure", test_binary_tree_structure);

@@ -157,6 +157,26 @@ let test_span_noop_without_ambient () =
   Span.phase ~node:0 "y";
   Span.exit_named ~node:0 "x"
 
+(* [Span.active] is gated by a count of running [with_ambient] bodies:
+   it must track installs and uninstalls, nested ones and those left by
+   an exception included. *)
+let test_span_active_gate () =
+  let outer = Span.create () and inner = Span.create () in
+  check_true "inactive before" (not (Span.active ()));
+  Span.with_ambient outer (fun () ->
+      check_true "active inside" (Span.active ());
+      Span.with_ambient inner (fun () -> check_true "active nested" (Span.active ()));
+      check_true "still active after the nested body" (Span.active ());
+      (try Span.with_ambient inner (fun () -> failwith "boom") with Failure _ -> ());
+      check_true "still active after a nested raise" (Span.active ()));
+  check_true "inactive after" (not (Span.active ()));
+  (try
+     Span.with_ambient outer (fun () ->
+         check_true "active before the raise" (Span.active ());
+         failwith "boom")
+   with Failure _ -> ());
+  check_true "inactive after the body raised" (not (Span.active ()))
+
 (* --- The kill switch --- *)
 
 let test_disabled_is_inert () =
@@ -471,6 +491,7 @@ let suite =
       ("span: phase chain + nesting", test_span_phase_chain);
       ("span: stray exit ignored", test_span_stray_exit_ignored);
       ("span: no-op without ambient", test_span_noop_without_ambient);
+      ("span: active tracks with_ambient", test_span_active_gate);
       ("kill switch: everything inert", test_disabled_is_inert);
       ("engine: obs does not perturb the run", test_obs_does_not_perturb_run);
       ("engine: phase bits sum to total_bits", test_phase_bits_sum_to_total);

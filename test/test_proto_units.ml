@@ -75,6 +75,69 @@ let test_message_bits_positive () =
       Message.Bf_value { source = 1; value = 5 };
     ]
 
+(* Every body's width from the [Params] accessors, computed afresh on
+   each call: the reference for the memoised [Message.bits]. *)
+let fresh_bits p body =
+  let id = Params.id_bits p and level = Params.level_bits p and value = Params.value_bits p in
+  let input = max 1 (Bits.bits_for_value p.Params.max_input) in
+  5 + id
+  +
+  match body with
+  | Message.Tree_construct { ancestors; _ } -> level + (List.length ancestors * id)
+  | Message.Aggregation _ -> value + level
+  | Message.Flooded_psum _ -> id + value
+  | Message.Failed_parent _ -> id + level
+  | Message.Bf_value _ -> id + input
+  | Message.Agg_abort | Message.Veri_overflow | Message.Detect_failed_parent
+  | Message.Detect_failed_child | Message.Bf_init ->
+    0
+  | Message.Ack _ | Message.Critical_failure _ | Message.Dominated _ | Message.Compulsory _
+  | Message.Failed_child _ | Message.Lfc_tail _ | Message.Not_lfc_tail _ ->
+    id
+
+let width_bodies =
+  [
+    Message.Tree_construct { level = 1; ancestors = [ 2; 3 ] };
+    Message.Ack { parent = 0 };
+    Message.Aggregation { psum = 3; max_level = 2 };
+    Message.Flooded_psum { source = 2; psum = 9 };
+    Message.Failed_parent { node = 1; depth = 2 };
+    Message.Agg_abort;
+    Message.Bf_value { source = 1; value = 5 };
+  ]
+
+let check_widths name p =
+  List.iter
+    (fun body ->
+      check_int
+        (Format.asprintf "%s: %a" name Message.pp_body body)
+        (fresh_bits p body) (Message.bits p body))
+    width_bodies
+
+let test_message_bits_memo () =
+  let p = sample_params ~n:64 ~t:3 () in
+  (* The first pass may miss, the second hits. *)
+  check_widths "miss" p;
+  check_widths "hit" p;
+  (* A memo keyed on the record would miss on these copies, and one stored
+     with [p] would answer them with [p]'s widths. *)
+  let same_widths = { p with Params.t = 1 } in
+  let by_caaf = { p with Params.caaf = Instances.max_ } in
+  let by_input = { p with Params.max_input = 1000 } in
+  check_true "caaf changes the value width" (Params.value_bits by_caaf <> Params.value_bits p);
+  check_true "max_input changes the input width"
+    (Message.bits by_input (Message.Bf_value { source = 0; value = 0 })
+    <> Message.bits p (Message.Bf_value { source = 0; value = 0 }));
+  for i = 1 to 3 do
+    let k = string_of_int i in
+    check_widths ("p " ^ k) p;
+    check_widths ("caaf " ^ k) by_caaf;
+    check_widths ("p again " ^ k) p;
+    check_widths ("max_input " ^ k) by_input;
+    check_widths ("t only " ^ k) same_widths
+  done;
+  check_widths "other n" (sample_params ~n:25 ())
+
 let test_flood_dedup () =
   let f = Flood.create () in
   check_true "first receipt forwards" (Flood.receive f Message.Bf_init);
@@ -170,6 +233,7 @@ let suite =
       ("params: paper budgets", test_budgets_match_paper);
       ("message: widths scale", test_message_bits_scale);
       ("message: widths positive", test_message_bits_positive);
+      ("message: memoised widths match a fresh computation", test_message_bits_memo);
       ("flood: dedup", test_flood_dedup);
       ("flood: originate", test_flood_originate_respects_seen);
       ("flood: fifo", test_flood_order_preserved);

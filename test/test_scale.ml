@@ -262,6 +262,60 @@ let chatty_protocol ?(raise_at = -1) ?(raise_me = -1) () =
     root_done = (fun _ -> false);
   }
 
+(* A protocol whose [step] returns a fresh state record every round and
+   sends on some rounds only, so the engines' store-on-change paths for
+   states and broadcast slots are both taken (AGG mutates its state in
+   place and never takes the state one).  A broadcast slot left stale
+   would reach an inbox and change the sums. *)
+type tally = { heard : int; sum : int; last : int }
+
+let tally_protocol =
+  {
+    Engine.name = "tally";
+    init = (fun u ~rng -> { heard = 0; sum = Prng.int rng 100; last = u });
+    step =
+      (fun ~round ~me ~state ~inbox ->
+        let sum = List.fold_left (fun acc (v, m) -> acc + (v * m)) state.sum inbox in
+        let state' = { heard = state.heard + List.length inbox; sum; last = round } in
+        (state', if (me + round) mod 3 = 0 then [ sum mod 97; me ] else []));
+    msg_bits = (fun m -> 1 + (m mod 7));
+    root_done = (fun _ -> false);
+  }
+
+let test_functional_state_pin () =
+  let n = 30 in
+  let graph = Topo.build (Topo.Random 0.1) ~n ~seed:5 in
+  let bg = Bigraph.of_graph graph in
+  let max_rounds = 25 in
+  List.iter
+    (fun (fname, failures) ->
+      let ref_states, ref_metrics =
+        Engine.run_reference ~graph ~failures ~max_rounds ~seed tally_protocol
+      in
+      let same name (states, metrics) =
+        check_true (name ^ ": states") (states = ref_states);
+        check_int (name ^ ": rounds") (Metrics.rounds ref_metrics) (Metrics.rounds metrics);
+        for u = 0 to n - 1 do
+          check_int
+            (Printf.sprintf "%s: bits(%d)" name u)
+            (Metrics.bits_sent ref_metrics u) (Metrics.bits_sent metrics u);
+          check_int
+            (Printf.sprintf "%s: msgs(%d)" name u)
+            (Metrics.msgs_sent ref_metrics u) (Metrics.msgs_sent metrics u)
+        done
+      in
+      same (fname ^ " Engine.run") (Engine.run ~graph ~failures ~max_rounds ~seed tally_protocol);
+      List.iter
+        (fun domains ->
+          same
+            (Printf.sprintf "%s executor d=%d" fname domains)
+            (Scale_executor.run ~domains ~graph:bg ~failures ~max_rounds ~seed tally_protocol))
+        [ 1; 2; 3 ])
+    [
+      ("no crashes", Failure.none ~n);
+      ("crashes", Failure.kill_nodes ~n ~nodes:[ 3; n / 2; n - 1 ] ~round:4);
+    ]
+
 let test_torn_barrier () =
   let n = 40 in
   let bg = Bigraph.of_graph (Topo.ring n) in
@@ -348,5 +402,6 @@ let suite =
       ("executor: registry counters", test_executor_counters);
       ("executor: torn barrier aborts cleanly", test_torn_barrier);
       ("executor: memory ceiling aborts run", test_ceiling_aborts_run);
+      ("executor: functional-state protocol pin", test_functional_state_pin);
     ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests

@@ -95,6 +95,26 @@ let test_bits_log2 () =
   check_int "log2_ceil 3" 2 (Bits.log2_ceil 3);
   check_int "log2_ceil 1025" 11 (Bits.log2_ceil 1025)
 
+(* The shift-per-bit loop [Bits.log2_floor] used before its binary
+   search, kept as the reference the new version must agree with. *)
+let log2_floor_loop k =
+  let rec go acc k = if k <= 1 then acc else go (acc + 1) (k lsr 1) in
+  go 0 k
+
+let test_log2_floor_pinned () =
+  for k = 1 to 1 lsl 20 do
+    if Bits.log2_floor k <> log2_floor_loop k then
+      Alcotest.failf "log2_floor %d = %d, loop says %d" k (Bits.log2_floor k) (log2_floor_loop k)
+  done;
+  for e = 1 to 61 do
+    List.iter
+      (fun k ->
+        check_int (Printf.sprintf "log2_floor %d" k) (log2_floor_loop k) (Bits.log2_floor k))
+      [ (1 lsl e) - 1; 1 lsl e; (1 lsl e) + 1 ]
+  done;
+  check_int "log2_floor max_int" (log2_floor_loop max_int) (Bits.log2_floor max_int);
+  check_int "log2_floor max_int = 61" 61 (Bits.log2_floor max_int)
+
 let test_bits_for () =
   check_int "bits_for 0" 0 (Bits.bits_for 0);
   check_int "bits_for 1" 1 (Bits.bits_for 1);
@@ -177,6 +197,7 @@ let suite =
       ("prng: float bounds", test_prng_float_bounds);
       ("prng: bool balanced", test_prng_bool_balanced);
       ("bits: log2", test_bits_log2);
+      ("bits: log2_floor pinned to the bit loop", test_log2_floor_pinned);
       ("bits: bits_for", test_bits_for);
       ("bits: pow2", test_bits_pow2);
       ("stats: summary", test_stats_summary);
