@@ -53,9 +53,9 @@ let pair_proto params =
     root_done = (fun _ -> false);
   }
 
-let run_pair ?online ?obs (sc : Incident.scenario) =
-  let graph = graph_of sc in
-  let params = params_of sc graph in
+(* [run_pair] on a graph and params already built from [sc] — the
+   campaign loop builds them once per trial for the adversary. *)
+let run_pair_on ?online ?obs ~graph ~params (sc : Incident.scenario) =
   let failures = Failure.of_list ~n:sc.Incident.n sc.Incident.schedule in
   let duration = Pair.duration params in
   let watch = Watchdog.pair_watch ?bit_cap:sc.Incident.bit_cap ~params ~graph () in
@@ -93,21 +93,23 @@ let run_pair ?online ?obs (sc : Incident.scenario) =
     rounds;
   }
 
+let run_pair ?online ?obs sc =
+  let graph = graph_of sc in
+  run_pair_on ?online ?obs ~graph ~params:(params_of sc graph) sc
+
 type backend_report = {
   b_scenario : Incident.scenario;  (** with the materialized schedule *)
   b_violation : Engine.violation option;
   b_outcome : Backend.outcome;
 }
 
-let run_backend ?online ?obs (sc : Incident.scenario) =
+let run_backend_on ?online ?obs ~graph ~params (sc : Incident.scenario) =
   let bname, b, f =
     match sc.Incident.kind with
     | Incident.Backend_run { backend; b; f } -> (backend, b, f)
     | _ -> invalid_arg "Campaign.run_backend: scenario kind is not Backend_run"
   in
   let backend = backend_exn bname in
-  let graph = graph_of sc in
-  let params = params_of sc graph in
   let failures = Failure.of_list ~n:sc.Incident.n sc.Incident.schedule in
   let ch =
     Run.exec_chaos ?obs ~faults:sc.Incident.faults ?online ?bit_cap:sc.Incident.bit_cap
@@ -118,6 +120,10 @@ let run_backend ?online ?obs (sc : Incident.scenario) =
     b_violation = ch.Backend.c_violation;
     b_outcome = ch.Backend.c_outcome;
   }
+
+let run_backend ?online ?obs sc =
+  let graph = graph_of sc in
+  run_backend_on ?online ?obs ~graph ~params:(params_of sc graph) sc
 
 let check_tradeoff (sc : Incident.scenario) ~b ~f =
   let graph = graph_of sc in
@@ -292,13 +298,13 @@ let run config =
        backend; other backends run in-process. *)
     let report =
       if config.backend <> "agg" then begin
-        let r = run_backend ?online ?obs:config.obs sc0 in
+        let r = run_backend_on ?online ?obs:config.obs ~graph ~params sc0 in
         Some { t_scenario = r.b_scenario; t_violation = r.b_violation }
       end
       else
         match config.via with
         | None ->
-          let r = run_pair ?online ?obs:config.obs sc0 in
+          let r = run_pair_on ?online ?obs:config.obs ~graph ~params sc0 in
           Some { t_scenario = r.scenario; t_violation = r.violation }
         | Some transport ->
           Option.map

@@ -49,7 +49,7 @@ let check_activation ~graph ~cd ~n ~round states =
         else begin
           let p = Agg.parent a in
           if p < 0 || p >= n then bad "activated with no parent"
-          else if not (List.mem p (Graph.neighbors graph u)) then
+          else if not (Graph.has_edge graph u p) then
             bad (Printf.sprintf "parent %d is not a neighbour" p)
           else begin
             let pa = Pair.agg states.(p) in

@@ -15,6 +15,12 @@ type state = {
   neighbors : int array;
   flows : float array;  (* F_me(j), aligned with [neighbors] *)
   alive : bool array;  (* neighbour believed alive, aligned *)
+  (* Per-step scratch, aligned: who was heard this round and what they
+     reported.  [recv_*] slots are read only where [heard] is set, so
+     only [heard] is cleared between steps. *)
+  heard : bool array;
+  recv_flow : float array;
+  recv_est : float array;
   mutable estimate : float;
   mutable dead : int;  (* slots declared dead (flows reset) *)
 }
@@ -48,6 +54,9 @@ let protocol ?(mode = Sum) ~graph ~params () =
           neighbors;
           flows = Array.make deg 0.0;
           alive = Array.make deg true;
+          heard = Array.make deg false;
+          recv_flow = Array.make deg 0.0;
+          recv_est = Array.make deg 0.0;
           estimate = float_of_int params.Params.inputs.(u);
           dead = 0;
         });
@@ -59,9 +68,8 @@ let protocol ?(mode = Sum) ~graph ~params () =
         if round = 1 then (st, broadcast st)
         else begin
           let deg = Array.length st.neighbors in
-          let heard = Array.make deg false in
-          let recv_flow = Array.make deg 0.0 in
-          let recv_est = Array.make deg 0.0 in
+          let heard = st.heard and recv_flow = st.recv_flow and recv_est = st.recv_est in
+          Array.fill heard 0 deg false;
           let index_of sender =
             let rec go k = if k >= deg then -1 else if st.neighbors.(k) = sender then k else go (k + 1) in
             go 0

@@ -125,39 +125,74 @@ type 'state chaos_result = {
   c_violation : violation option;
 }
 
-(* The instrumented engine.  Structured like [run_reference] (lists, no
-   CSR tricks) because clarity beats speed off the hot path, with three
-   additions: per-edge duplication/one-round-delay faults, an online
-   adversary consulted after every round, and a watchdog that can stop
-   the run at the first violated invariant.
+(* Prepend [(v, m)] for every [m] of [msgs] onto [acc], preserving the
+   order of [msgs].  Messages per broadcast are few, so the non-tail
+   recursion is fine. *)
+let rec deliver v msgs acc =
+  match msgs with [] -> acc | m :: tl -> (v, m) :: deliver v tl acc
 
-   With [faults = no_faults], no [online] and no [watch], the PRNG setup
-   and draw order are exactly [run_reference]'s — the dup/delay draws are
-   guarded by their probabilities being positive — so a chaos-off run is
-   observably identical to [run]/[run_reference] (states, metrics, PRNG
-   streams); test/test_chaos.ml checks this differentially. *)
-let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_violation = true)
-    ~graph ~failures ~max_rounds ~seed proto =
+let rec sum_bits msg_bits acc = function
+  | [] -> acc
+  | m :: tl -> sum_bits msg_bits (acc + msg_bits m) tl
+
+(* Store node [u]'s broadcast for this round into [slots], which holds
+   its broadcast of two rounds ago.  Most nodes send nothing in most
+   rounds and sent nothing before, so an empty broadcast over an empty
+   slot skips the store and its write barrier. *)
+let set_broadcast slots u out =
+  match out with
+  | [] -> ( match Array.unsafe_get slots u with [] -> () | _ -> Array.unsafe_set slots u [])
+  | _ -> Array.unsafe_set slots u out
+
+(* The one round kernel behind [run] and [run_chaos]: observably
+   identical to [run_reference] (same states, metrics and PRNG streams)
+   when no chaos knob is set, but the delivery loop walks a CSR snapshot
+   of the adjacency with no per-round set filtering, no
+   [List.concat_map] churn and no closure allocation — the only
+   allocations left are the inbox cells the protocol API requires.
+
+   Faults are drawn per incident edge with traffic, in ascending
+   neighbour order: loss, then (if delivered) dup, then delay, each only
+   when its probability is positive — the draw order of [run_reference]
+   and of the list-based chaos oracle in test/, so the loss PRNG stream
+   matches both.  A delayed delivery is held
+   at the receiver and arrives next round ahead of that round's traffic;
+   it survives the sender's crash (in flight = in flight).  [crash] is
+   the live schedule: [online] lowers entries of it, so [run_chaos]
+   hands in a private copy. *)
+let kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~crash ~max_rounds
+    ~seed proto =
   let { loss; dup; delay } = faults in
-  if loss < 0.0 || loss > 1.0 then invalid_arg "Engine.run_chaos: loss must be in [0, 1]";
-  if dup < 0.0 || dup > 1.0 then invalid_arg "Engine.run_chaos: dup must be in [0, 1]";
-  if delay < 0.0 || delay > 1.0 then invalid_arg "Engine.run_chaos: delay must be in [0, 1]";
+  let faulty = loss > 0.0 || dup > 0.0 || delay > 0.0 in
+  let delaying = delay > 0.0 in
   let n = Graph.n graph in
+  let csr = Graph.csr graph in
+  let offsets = csr.Csr.offsets and targets = csr.Csr.targets in
   let rng = Prng.create seed in
   let loss_rng = Prng.split rng in
+  let draw p = p > 0.0 && Prng.float loss_rng 1.0 < p in
   let states = Array.init n (fun u -> proto.init u ~rng:(Prng.split rng)) in
   let metrics = Metrics.create n in
-  (* A private copy: online crash decisions must not mutate the caller's
-     oblivious schedule. *)
-  let crash = Array.copy (Failure.crash_rounds failures) in
-  let in_flight : 'msg list array = Array.make n [] in
-  let next_flight : 'msg list array = Array.make n [] in
-  (* [delayed.(u)] holds (sender, payload) pairs whose delivery to [u]
-     was pushed one round; they arrive ahead of this round's traffic and
-     survive the sender's crash (in flight = in flight). *)
-  let delayed : (node_id * 'msg) list array = Array.make n [] in
-  let next_delayed : (node_id * 'msg) list array = Array.make n [] in
-  let draw p = p > 0.0 && Prng.float loss_rng 1.0 < p in
+  let in_flight : 'msg list array ref = ref (Array.make n []) in
+  let next_flight : 'msg list array ref = ref (Array.make n []) in
+  (* [held.(u)]: (sender, payload) pairs delayed into this round for
+     [u]; [next_held] collects this round's delays.  Both stay empty
+     (and zero-length) unless [delay > 0]. *)
+  let held_len = if delaying then n else 0 in
+  let held : (node_id * 'msg) list array ref = ref (Array.make held_len []) in
+  let next_held : (node_id * 'msg) list array ref = ref (Array.make held_len []) in
+  (* Reusable per-node fault outcomes, one slot per incident edge of the
+     busiest node: 0 = nothing arrives, 1 or 2 = that many copies arrive
+     now, -1 or -2 = that many copies arrive next round. *)
+  let copies = Array.make (max 1 (Csr.max_degree csr)) 0 in
+  (* [traffic] = did anyone broadcast last round?  When false, every
+     fresh inbox is empty and no fault draw would happen (draws are only
+     made for neighbours with a non-empty in-flight slot), so the whole
+     neighbour scan is skipped — most rounds of a typical protocol are
+     globally silent. *)
+  let traffic = ref false in
+  (* This round's senders, newest first; kept only for [online]. *)
+  let rev_broadcasters = ref [] in
   let violation = ref None in
   let round = ref 1 in
   let halted = ref false in
@@ -166,51 +201,104 @@ let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_viol
     let r = !round in
     Metrics.note_round metrics r;
     (match obs with Some o -> Obs.on_round o r | None -> ());
-    let rev_broadcasters = ref [] in
+    let inflight = !in_flight and nextflight = !next_flight in
+    let heldnow = !held and heldnext = !next_held in
+    let had_traffic = !traffic in
+    traffic := false;
+    rev_broadcasters := [];
     for u = 0 to n - 1 do
-      if crash.(u) > r then begin
-        let held = delayed.(u) in
-        delayed.(u) <- [];
+      if Array.unsafe_get crash u > r then begin
         let fresh =
-          List.concat_map
-            (fun v ->
-              if in_flight.(v) = [] then []
-              else if loss = 0.0 || Prng.float loss_rng 1.0 >= loss then begin
-                let msgs = List.map (fun m -> (v, m)) in_flight.(v) in
-                let msgs = if draw dup then msgs @ msgs else msgs in
-                if draw delay then begin
-                  next_delayed.(u) <- next_delayed.(u) @ msgs;
-                  []
-                end
-                else msgs
-              end
-              else [])
-            (Graph.neighbors graph u)
+          if not had_traffic then []
+          else begin
+            let lo = Array.unsafe_get offsets u in
+            let hi = Array.unsafe_get offsets (u + 1) in
+            if not faulty then begin
+              (* Build front-to-back order by walking neighbours
+                 backwards. *)
+              let acc = ref [] in
+              for i = hi - 1 downto lo do
+                let v = Array.unsafe_get targets i in
+                match Array.unsafe_get inflight v with
+                | [] -> ()
+                | msgs -> acc := deliver v msgs !acc
+              done;
+              !acc
+            end
+            else begin
+              (* Draws must happen in ascending neighbour order, so
+                 record the outcomes forwards first. *)
+              for i = lo to hi - 1 do
+                Array.unsafe_set copies (i - lo)
+                  (match Array.unsafe_get inflight (Array.unsafe_get targets i) with
+                  | [] -> 0
+                  | _ ->
+                    if draw loss then 0
+                    else begin
+                      let c = if draw dup then 2 else 1 in
+                      if draw delay then -c else c
+                    end)
+              done;
+              let acc = ref [] and late = ref [] in
+              for i = hi - 1 downto lo do
+                let v = Array.unsafe_get targets i in
+                match Array.unsafe_get copies (i - lo) with
+                | 0 -> ()
+                | 1 -> acc := deliver v inflight.(v) !acc
+                | 2 -> acc := deliver v inflight.(v) (deliver v inflight.(v) !acc)
+                | -1 -> late := deliver v inflight.(v) !late
+                | _ -> late := deliver v inflight.(v) (deliver v inflight.(v) !late)
+              done;
+              (match !late with [] -> () | late -> heldnext.(u) <- late);
+              !acc
+            end
+          end
         in
-        let inbox = held @ fresh in
-        let state', out = proto.step ~round:r ~me:u ~state:states.(u) ~inbox in
-        states.(u) <- state';
-        next_flight.(u) <- out;
+        let inbox =
+          if not delaying then fresh
+          else
+            match heldnow.(u) with
+            | [] -> fresh
+            | early ->
+              heldnow.(u) <- [];
+              early @ fresh
+        in
+        let state = Array.unsafe_get states u in
+        let state', out = proto.step ~round:r ~me:u ~state ~inbox in
+        (* Protocols that mutate their state in place return it as is:
+           skip the store and its write barrier. *)
+        if state' != state then Array.unsafe_set states u state';
+        set_broadcast nextflight u out;
         (match observer with Some f -> f ~round:r ~node:u out | None -> ());
-        if out <> [] then rev_broadcasters := u :: !rev_broadcasters;
-        let bits = List.fold_left (fun acc m -> acc + proto.msg_bits m) 0 out in
-        Metrics.charge metrics ~node:u ~bits;
-        (match (obs, out) with
-        | Some o, _ :: _ -> Obs.on_broadcast o ~round:r ~node:u ~msgs:(List.length out) ~bits
-        | _ -> ())
+        (* An empty broadcast charges 0 bits and no message — skip the
+           fold and the metrics write entirely. *)
+        match out with
+        | [] -> ()
+        | _ ->
+          traffic := true;
+          (match online with Some _ -> rev_broadcasters := u :: !rev_broadcasters | None -> ());
+          let bits = sum_bits proto.msg_bits 0 out in
+          Metrics.charge metrics ~node:u ~bits;
+          (match obs with
+          | Some o -> Obs.on_broadcast o ~round:r ~node:u ~msgs:(List.length out) ~bits
+          | None -> ())
       end
       else begin
-        next_flight.(u) <- [];
-        delayed.(u) <- [];
-        next_delayed.(u) <- []
+        set_broadcast nextflight u [];
+        (* A crashed receiver never takes delivery of what it was held. *)
+        if delaying then set_broadcast heldnow u []
       end
     done;
-    Array.blit next_flight 0 in_flight 0 n;
-    Array.fill next_flight 0 n [];
-    Array.blit next_delayed 0 delayed 0 n;
-    Array.fill next_delayed 0 n [];
+    (* Every slot of [nextflight] now holds this round's broadcast (a
+       slot is stored only when its content changes), and every slot of
+       [heldnow] has been consumed, so swapping the array pairs replaces
+       a blit + fill without copying. *)
+    in_flight := nextflight;
+    next_flight := inflight;
+    held := heldnext;
+    next_held := heldnow;
     (match watch with
-    | Some w when !violation = None -> (
+    | Some w when Option.is_none !violation -> (
       match
         w { v_round = r; v_states = states; v_metrics = metrics; v_crash_rounds = crash }
       with
@@ -239,135 +327,32 @@ let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_viol
     if proto.root_done states.(Graph.root) then halted := true;
     incr round
   done;
+  (states, metrics, !violation)
+
+let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
+  if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
+  let states, metrics, _ =
+    kernel ?observer ?obs ~faults:{ no_faults with loss } ~halt_on_violation:true ~graph
+      ~crash:(Failure.crash_rounds failures) ~max_rounds ~seed proto
+  in
+  (states, metrics)
+
+let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_violation = true)
+    ~graph ~failures ~max_rounds ~seed proto =
+  let { loss; dup; delay } = faults in
+  if loss < 0.0 || loss > 1.0 then invalid_arg "Engine.run_chaos: loss must be in [0, 1]";
+  if dup < 0.0 || dup > 1.0 then invalid_arg "Engine.run_chaos: dup must be in [0, 1]";
+  if delay < 0.0 || delay > 1.0 then invalid_arg "Engine.run_chaos: delay must be in [0, 1]";
+  (* A private copy: online crash decisions must not mutate the caller's
+     oblivious schedule. *)
+  let crash = Array.copy (Failure.crash_rounds failures) in
+  let states, metrics, violation =
+    kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~crash ~max_rounds
+      ~seed proto
+  in
   {
     c_states = states;
     c_metrics = metrics;
     c_schedule = Failure.of_crash_rounds crash;
-    c_violation = !violation;
+    c_violation = violation;
   }
-
-(* Prepend [(v, m)] for every [m] of [msgs] onto [acc], preserving the
-   order of [msgs].  Messages per broadcast are few, so the non-tail
-   recursion is fine. *)
-let rec deliver v msgs acc =
-  match msgs with [] -> acc | m :: tl -> (v, m) :: deliver v tl acc
-
-let rec sum_bits msg_bits acc = function
-  | [] -> acc
-  | m :: tl -> sum_bits msg_bits (acc + msg_bits m) tl
-
-(* Store node [u]'s broadcast for this round into [slots], which holds
-   its broadcast of two rounds ago.  Most nodes send nothing in most
-   rounds and sent nothing before, so an empty broadcast over an empty
-   slot skips the store and its write barrier. *)
-let set_broadcast slots u out =
-  match out with
-  | [] -> ( match Array.unsafe_get slots u with [] -> () | _ -> Array.unsafe_set slots u [])
-  | _ -> Array.unsafe_set slots u out
-
-(* Fast path: identical observable behaviour to [run_reference], but the
-   delivery loop walks a CSR snapshot of the adjacency with no per-round
-   set filtering, no [List.concat_map] churn and no closure allocation —
-   the only allocations left are the inbox cells the protocol API
-   requires.  The per-edge loss draws happen in the same (ascending
-   neighbour) order as the reference, so the loss PRNG stream matches. *)
-let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
-  if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
-  let n = Graph.n graph in
-  let csr = Graph.csr graph in
-  let offsets = csr.Csr.offsets and targets = csr.Csr.targets in
-  let crash = Failure.crash_rounds failures in
-  let rng = Prng.create seed in
-  let loss_rng = Prng.split rng in
-  let states = Array.init n (fun u -> proto.init u ~rng:(Prng.split rng)) in
-  let metrics = Metrics.create n in
-  let in_flight : 'msg list array ref = ref (Array.make n []) in
-  let next_flight : 'msg list array ref = ref (Array.make n []) in
-  (* Reusable per-node delivery flags for the lossy path (one slot per
-     incident edge of the busiest node). *)
-  let flags = Array.make (max 1 (Csr.max_degree csr)) false in
-  (* [traffic] = did anyone broadcast last round?  When false, every
-     inbox is empty and no loss draw would happen (the reference only
-     draws for neighbours with a non-empty in-flight slot), so the whole
-     neighbour scan is skipped — most rounds of a typical protocol are
-     globally silent. *)
-  let traffic = ref false in
-  let round = ref 1 in
-  let halted = ref false in
-  with_obs obs @@ fun () ->
-  while (not !halted) && !round <= max_rounds do
-    let r = !round in
-    Metrics.note_round metrics r;
-    (match obs with Some o -> Obs.on_round o r | None -> ());
-    let inflight = !in_flight and nextflight = !next_flight in
-    let had_traffic = !traffic in
-    traffic := false;
-    for u = 0 to n - 1 do
-      if Array.unsafe_get crash u > r then begin
-        let inbox =
-          if not had_traffic then []
-          else begin
-            let lo = Array.unsafe_get offsets u in
-            let hi = Array.unsafe_get offsets (u + 1) in
-            if loss = 0.0 then begin
-              (* Build front-to-back order by walking neighbours
-                 backwards. *)
-              let acc = ref [] in
-              for i = hi - 1 downto lo do
-                let v = Array.unsafe_get targets i in
-                match Array.unsafe_get inflight v with
-                | [] -> ()
-                | msgs -> acc := deliver v msgs !acc
-              done;
-              !acc
-            end
-            else begin
-              (* Loss draws must happen in ascending neighbour order (the
-                 reference order), so flag deliveries forwards first. *)
-              for i = lo to hi - 1 do
-                let v = Array.unsafe_get targets i in
-                flags.(i - lo) <-
-                  (match Array.unsafe_get inflight v with
-                  | [] -> false
-                  | _ -> Prng.float loss_rng 1.0 >= loss)
-              done;
-              let acc = ref [] in
-              for i = hi - 1 downto lo do
-                if flags.(i - lo) then
-                  acc :=
-                    deliver (Array.unsafe_get targets i) inflight.(Array.unsafe_get targets i) !acc
-              done;
-              !acc
-            end
-          end
-        in
-        let state = Array.unsafe_get states u in
-        let state', out = proto.step ~round:r ~me:u ~state ~inbox in
-        (* Protocols that mutate their state in place return it as is:
-           skip the store and its write barrier. *)
-        if state' != state then Array.unsafe_set states u state';
-        set_broadcast nextflight u out;
-        (match observer with Some f -> f ~round:r ~node:u out | None -> ());
-        (* An empty broadcast charges 0 bits and no message — skip the
-           fold and the metrics write entirely. *)
-        (match out with
-        | [] -> ()
-        | _ ->
-          traffic := true;
-          let bits = sum_bits proto.msg_bits 0 out in
-          Metrics.charge metrics ~node:u ~bits;
-          (match obs with
-          | Some o -> Obs.on_broadcast o ~round:r ~node:u ~msgs:(List.length out) ~bits
-          | None -> ()))
-      end
-      else set_broadcast nextflight u []
-    done;
-    (* Every slot of [nextflight] now holds this round's broadcast (a
-       slot is stored only when its content changes), so swapping the two
-       arrays replaces the reference's blit + fill without copying. *)
-    in_flight := nextflight;
-    next_flight := inflight;
-    if proto.root_done states.(Graph.root) then halted := true;
-    incr round
-  done;
-  (states, metrics)

@@ -68,7 +68,8 @@ val run :
 
     The delivery loop iterates a {!Ftagg_graph.Graph.Csr} snapshot of the
     adjacency taken once at run start, allocating nothing per round beyond
-    the inbox cells the [step] API requires. *)
+    the inbox cells the [step] API requires.  It is the round kernel
+    {!run_chaos} shares, with every chaos knob but [loss] off. *)
 
 (** {2 Chaos instrumentation}
 
@@ -163,8 +164,15 @@ val run_chaos :
     [halt_on_violation] is [false], default [true]) and the violation is
     reported in the result.  [obs] is as in {!run}; watchdog violations
     are additionally forwarded to it, so chaos incidents carry a
-    telemetry tail.  Off the hot path: list-based like {!run_reference},
-    roughly engine-reference speed. *)
+    telemetry tail.
+
+    {!run} and {!run_chaos} are thin wrappers over one CSR round kernel,
+    so a chaos run costs what {!run} costs plus its faults, adversary
+    and watchdog.  Fault draws are made per incident edge with traffic,
+    in ascending neighbour order — loss, then (if delivered) dup, then
+    delay, each only when its probability is positive — so the PRNG
+    streams match those of the list-based differential oracle in
+    [test/chaos_oracle.ml]. *)
 
 (** {2 Hot-path building blocks}
 

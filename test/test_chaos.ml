@@ -75,6 +75,134 @@ let test_loss_only_differential () =
         [ 1; 2; 3 ])
     [ 0.05; 0.3 ]
 
+(* ---------- fault paths: the CSR kernel ≡ the list-based oracle ---------- *)
+
+(* One generated chaos run: a topology (every Gen family, or a
+   Membership generation whose retired nodes crash at round 1), an
+   oblivious schedule, per-edge loss/dup/delay probabilities, an optional
+   adaptive adversary and the pair watchdog with or without a planted
+   bit cap. *)
+type oracle_case = {
+  family : Gen.family;
+  churned : bool;
+  n : int;
+  topo_seed : int;
+  run_seed : int;
+  crashes : int;
+  faults : Engine.faults;
+  adversary : Adversary.t option;
+  budget : int;
+  bit_cap : int option;
+  halt : bool;
+}
+
+let probabilities = [| 0.0; 0.1; 0.5; 1.0 |]
+
+let oracle_case_gen =
+  let open QCheck.Gen in
+  let families = Array.of_list (List.map snd (Topo.all_families ~seed:0)) in
+  let adversaries = Array.of_list (None :: List.map Option.some Adversary.adaptive_all) in
+  let prob = map (Array.get probabilities) (int_bound 3) in
+  let* family = map (Array.get families) (int_bound (Array.length families - 1)) in
+  let* churned = bool in
+  let* n = int_range 12 28 in
+  let* topo_seed = int_bound 999 in
+  let* run_seed = int_bound 999 in
+  let* crashes = int_bound 6 in
+  let* loss = prob and* dup = prob and* delay = prob in
+  let* adversary = map (Array.get adversaries) (int_bound (Array.length adversaries - 1)) in
+  let* budget = int_bound 10 in
+  let* bit_cap = opt (int_range 20 400) in
+  let* halt = bool in
+  return
+    {
+      family;
+      churned;
+      n;
+      topo_seed;
+      run_seed;
+      crashes;
+      faults = { Engine.loss; dup; delay };
+      adversary;
+      budget;
+      bit_cap;
+      halt;
+    }
+
+let print_oracle_case c =
+  Printf.sprintf
+    "%s%s n=%d topo=%d seed=%d crashes=%d loss=%g dup=%g delay=%g adversary=%s budget=%d cap=%s \
+     halt=%b"
+    (Incident.family_to_string c.family)
+    (if c.churned then " (churned)" else "")
+    c.n c.topo_seed c.run_seed c.crashes c.faults.Engine.loss c.faults.Engine.dup
+    c.faults.Engine.delay
+    (match c.adversary with Some a -> Adversary.name a | None -> "none")
+    c.budget
+    (match c.bit_cap with Some b -> string_of_int b | None -> "none")
+    c.halt
+
+(* Run [c] through [engine] and return everything observable: the
+   result record's projection and the observer's (round, node, |out|)
+   sequence.  Adversaries and watchdogs are stateful, so each run
+   instantiates its own. *)
+let observe_case engine c =
+  let graph, retired =
+    if not c.churned then (Gen.build c.family ~n:c.n ~seed:c.topo_seed, None)
+    else begin
+      let m = Membership.create ~family:c.family ~n:c.n ~seed:c.topo_seed in
+      let m = Membership.advance m ~joins:2 ~leaves:3 in
+      (Membership.graph m, Some (Membership.retirement m))
+    end
+  in
+  let n = Graph.n graph in
+  let params = params_of ~t:2 graph ~inputs:(default_inputs n) in
+  let duration = Pair.duration params in
+  let planned =
+    Failure.random graph ~rng:(Prng.create c.run_seed) ~budget:c.crashes ~max_round:duration
+  in
+  let failures =
+    match retired with Some r -> Membership.merge_failures r planned | None -> planned
+  in
+  let online =
+    Option.bind c.adversary (fun a ->
+        snd
+          (Adversary.instantiate a graph ~rng:(Prng.create c.topo_seed) ~budget:c.budget
+             ~window:duration))
+  in
+  let watch = Watchdog.pair_watch ?bit_cap:c.bit_cap ~params ~graph () in
+  let seen = ref [] in
+  let observer ~round ~node out = seen := (round, node, List.length out) :: !seen in
+  let r : Pair.node Engine.chaos_result =
+    engine ~observer ~faults:c.faults ?online ~watch ~halt_on_violation:c.halt ~graph ~failures
+      ~max_rounds:duration ~seed:c.run_seed (pair_proto params)
+  in
+  let m = r.Engine.c_metrics in
+  ( Array.map (fun st -> agg_project (Pair.agg st)) r.Engine.c_states,
+    List.init n (fun u -> (Metrics.bits_sent m u, Metrics.msgs_sent m u)),
+    Metrics.rounds m,
+    Failure.to_list r.Engine.c_schedule,
+    r.Engine.c_violation,
+    List.rev !seen )
+
+let kernel_run ~observer ~faults ?online ~watch ~halt_on_violation ~graph ~failures ~max_rounds
+    ~seed proto =
+  Engine.run_chaos ~observer ~faults ?online ~watch ~halt_on_violation ~graph ~failures
+    ~max_rounds ~seed proto
+
+let oracle_run ~observer ~faults ?online ~watch ~halt_on_violation ~graph ~failures ~max_rounds
+    ~seed proto =
+  Chaos_oracle.run_chaos ~observer ~faults ?online ~watch ~halt_on_violation ~graph ~failures
+    ~max_rounds ~seed proto
+
+let qcheck_tests =
+  [
+    QCheck.Test.make ~name:"run_chaos ≡ list-based oracle under faults, adversaries, watchdogs"
+      ~count:200
+      (QCheck.make ~print:print_oracle_case oracle_case_gen)
+      (fun c -> observe_case kernel_run c = observe_case oracle_run c);
+  ]
+
 (* ---------- fault-injection semantics on a beacon protocol ---------- *)
 
 (* Node [b] broadcasts one unit payload every round; everyone else counts
@@ -384,3 +512,4 @@ let suite =
     Alcotest.test_case "family codec round trip" `Quick test_family_codec;
     Alcotest.test_case "incident JSON round trip" `Quick test_incident_json_round_trip;
   ]
+  @ List.map QCheck_alcotest.to_alcotest qcheck_tests

@@ -160,6 +160,25 @@ let qcheck_tests =
             Path.diameter g = diameter_by_eccentricity g
             && Path.diameter g' = diameter_by_eccentricity g')
           (Topo.all_families ~seed));
+    (* The watchdog's parent-is-a-neighbour test relies on this. *)
+    Test.make ~name:"has_edge equals membership in neighbors, nodes removed or not" ~count:30
+      (pair (int_range 12 40) small_int)
+      (fun (n, seed) ->
+        let removed = [ 1 + (seed mod (n - 1)); 1 + ((seed * 5) mod (n - 1)) ] in
+        let agrees g =
+          let ok = ref true in
+          for u = -1 to n do
+            for p = -1 to n do
+              if Graph.has_edge g u p <> List.mem p (Graph.neighbors g u) then ok := false
+            done
+          done;
+          !ok
+        in
+        List.for_all
+          (fun (_, fam) ->
+            let g = Topo.build fam ~n ~seed in
+            agrees g && agrees (Graph.remove_nodes g removed))
+          (Topo.all_families ~seed));
     Test.make ~name:"diameter is None exactly when disconnected" ~count:40
       (pair (int_range 4 30) small_int)
       (fun (n, seed) ->
