@@ -55,14 +55,6 @@ let fold_edges f g init =
   iter_edges g (fun u v -> acc := f u v !acc);
   !acc
 
-let edges g =
-  let acc = ref [] in
-  for u = g.n - 1 downto 0 do
-    if g.present.(u) then
-      IS.iter (fun v -> if v > u && g.present.(v) then acc := (u, v) :: !acc) g.adj.(u)
-  done;
-  !acc
-
 let num_edges g = fold_edges (fun _ _ acc -> acc + 1) g 0
 
 let fold_nodes f g init =
@@ -81,11 +73,15 @@ let remove_nodes g nodes =
   { g with present }
 
 module Csr = struct
+  type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
   type t = {
     nodes : int;
-    offsets : int array;
-    targets : int array;
+    offsets : ints;
+    targets : ints;
   }
+
+  let ints len : ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
 
   (* Rows follow [neighbors] exactly: absent nodes get empty rows, absent
      neighbours are dropped, and each row is sorted ascending (the order
@@ -94,22 +90,23 @@ module Csr = struct
      what the list-based view gives. *)
   let of_graph g =
     let n = g.n in
-    let offsets = Array.make (n + 1) 0 in
+    let offsets = ints (n + 1) in
+    offsets.{0} <- 0;
     for u = 0 to n - 1 do
       let deg =
         if not g.present.(u) then 0
         else IS.fold (fun v acc -> if g.present.(v) then acc + 1 else acc) g.adj.(u) 0
       in
-      offsets.(u + 1) <- offsets.(u) + deg
+      offsets.{u + 1} <- offsets.{u} + deg
     done;
-    let targets = Array.make offsets.(n) 0 in
+    let targets = ints offsets.{n} in
     let pos = ref 0 in
     for u = 0 to n - 1 do
       if g.present.(u) then
         IS.iter
           (fun v ->
             if g.present.(v) then begin
-              targets.(!pos) <- v;
+              targets.{!pos} <- v;
               incr pos
             end)
           g.adj.(u)
@@ -117,7 +114,8 @@ module Csr = struct
     { nodes = n; offsets; targets }
 
   let nodes c = c.nodes
-  let degree c u = c.offsets.(u + 1) - c.offsets.(u)
+  let degree c u = c.offsets.{u + 1} - c.offsets.{u}
+
   let max_degree c =
     let m = ref 0 in
     for u = 0 to c.nodes - 1 do
@@ -126,32 +124,56 @@ module Csr = struct
     !m
 
   let iter_neighbors c u f =
-    for i = c.offsets.(u) to c.offsets.(u + 1) - 1 do
-      f c.targets.(i)
+    for i = c.offsets.{u} to c.offsets.{u + 1} - 1 do
+      f c.targets.{i}
     done
 
-  let fold_neighbors c u f init =
-    let acc = ref init in
-    for i = c.offsets.(u) to c.offsets.(u + 1) - 1 do
-      acc := f !acc c.targets.(i)
-    done;
-    !acc
+  (* Typed, so the compiler emits a direct load or store rather than a
+     call to the generic Bigarray accessor. *)
+  let get (a : ints) i = Bigarray.Array1.unsafe_get a i
+  let set (a : ints) i x = Bigarray.Array1.unsafe_set a i x
 
-  let neighbors_list c u =
-    List.init (degree c u) (fun i -> c.targets.(c.offsets.(u) + i))
+  let bfs c ~dist ~queue src =
+    let n = c.nodes in
+    if src < 0 || src >= n || Bigarray.Array1.dim dist < n || Bigarray.Array1.dim queue < n then
+      invalid_arg "Graph.Csr.bfs: source out of range or scratch shorter than nodes";
+    (* Every index below is a node id or a queue slot, both < [n]. *)
+    Bigarray.Array1.fill dist (-1);
+    set dist src 0;
+    set queue 0 src;
+    let head = ref 0 and tail = ref 1 in
+    let far = ref src and ecc = ref 0 in
+    while !head < !tail do
+      let u = get queue !head in
+      incr head;
+      let du = get dist u in
+      if du > !ecc then begin
+        ecc := du;
+        far := u
+      end;
+      for i = get c.offsets u to get c.offsets (u + 1) - 1 do
+        let v = get c.targets i in
+        if get dist v < 0 then begin
+          set dist v (du + 1);
+          set queue !tail v;
+          incr tail
+        end
+      done
+    done;
+    (!far, !ecc, !tail)
 end
 
 let csr = Csr.of_graph
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.n (num_edges g);
-  List.iter (fun (u, v) -> Format.fprintf ppf "%d -- %d@," u v) (edges g);
+  iter_edges g (fun u v -> Format.fprintf ppf "%d -- %d@," u v);
   Format.fprintf ppf "@]"
 
 let to_dot ?(name = "g") g =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "graph %s {\n" name);
   Buffer.add_string buf "  0 [shape=doublecircle];\n";
-  List.iter (fun (u, v) -> Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v)) (edges g);
+  iter_edges g (fun u v -> Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

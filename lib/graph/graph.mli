@@ -33,22 +33,17 @@ val has_edge : t -> int -> int -> bool
 
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** [iter_edges g f] calls [f u v] once per present edge, [u < v],
-    ascending by [u] then [v].  Allocation-free replacement for the
-    deprecated {!edges}. *)
+    ascending by [u] then [v]. *)
 
 val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over present edges in {!iter_edges} order. *)
-
-val edges : t -> (int * int) list
-[@@ocaml.deprecated "use Graph.iter_edges / Graph.fold_edges (the list path materialises every edge)"]
-(** Every edge once, as [(u, v)] with [u < v]. *)
 
 val fold_nodes : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val remove_nodes : t -> int list -> t
 (** Graph with the given nodes (and their incident edges) deleted.  Ids
     are preserved; removed nodes become isolated and are excluded from
-    [neighbors]/[edges].  Used to model crashed nodes. *)
+    [neighbors]/[iter_edges].  Used to model crashed nodes. *)
 
 val mem : t -> int -> bool
 (** Whether the node is present (not removed). *)
@@ -58,20 +53,30 @@ val mem : t -> int -> bool
     The simulation hot path iterates adjacency once per node per round;
     the set-backed {!neighbors} allocates a filtered set plus a list on
     every call.  {!Csr} is a compressed-sparse-row snapshot — two flat
-    [int array]s — taken once per run and read with zero allocation. *)
+    Bigarray int arrays — read with zero allocation.  It is the library's
+    one CSR type: {!csr} snapshots a materialised graph, and
+    [Scale.Bigraph] streams million-node topologies straight into it.
+    The arrays live off the OCaml heap, so the GC neither scans nor moves
+    them (~16 bytes per directed edge). *)
 
 module Csr : sig
   type graph := t
 
+  type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
   type t = {
     nodes : int;
-    offsets : int array;
+    offsets : ints;
         (** [nodes + 1] entries; node [u]'s neighbours live at indices
-            [offsets.(u) .. offsets.(u+1) - 1] of [targets]. *)
-    targets : int array;
+            [offsets.{u} .. offsets.{u+1} - 1] of [targets]. *)
+    targets : ints;  (** each row sorted ascending *)
   }
   (** The arrays are exposed so hot loops can index them directly; treat
-      them as read-only. *)
+      them as read-only.  Two snapshots of the same adjacency are equal
+      under [=]. *)
+
+  val ints : int -> ints
+  (** A fresh, uninitialised off-heap int array of the given length. *)
 
   val of_graph : graph -> t
   (** Snapshot the present subgraph.  Row [u] lists exactly
@@ -82,10 +87,16 @@ module Csr : sig
   val degree : t -> int -> int
   val max_degree : t -> int
   val iter_neighbors : t -> int -> (int -> unit) -> unit
-  val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 
-  val neighbors_list : t -> int -> int list
-  (** Same list [neighbors] returns; for tests and slow paths. *)
+  val bfs : t -> dist:ints -> queue:ints -> int -> int * int * int
+  (** [bfs c ~dist ~queue src] is breadth-first search from [src] over
+      caller-owned scratch of at least [nodes] entries each.  On return
+      [dist.{v}] is the hop distance of [v] (−1 if unreached) and
+      [queue] holds the reached nodes in visiting order.  The result is
+      [(far, ecc, reached)]: the first node visited at the largest
+      distance, that distance, and the number of nodes reached.  Raises
+      [Invalid_argument] when [src] is not a node or the scratch is
+      shorter than [nodes]. *)
 end
 
 val csr : t -> Csr.t

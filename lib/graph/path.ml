@@ -46,43 +46,22 @@ let is_connected g =
     let dist = bfs g src in
     Graph.fold_nodes (fun v ok -> ok && dist.(v) <> max_int) g true
 
-(* One BFS per present node over a single CSR snapshot, with a flat int
-   queue: [bfs] asks [Graph.neighbors] for every visited node, which
+(* One BFS per present node over a single CSR snapshot with flat
+   scratch: [bfs] asks [Graph.neighbors] for every visited node, which
    rebuilds a filtered set and a list each time — n·m of them here.  The
    snapshot has empty rows for removed nodes and drops removed
    neighbours, so a BFS reaches only present nodes. *)
 let diameter g =
   let n = Graph.n g in
-  let { Graph.Csr.offsets; targets; _ } = Graph.csr g in
+  let csr = Graph.csr g in
   let present = Graph.fold_nodes (fun _ k -> k + 1) g 0 in
-  let dist = Array.make n (-1) and queue = Array.make n 0 in
-  (* The eccentricity of [src], or -1 if some present node is unreachable. *)
-  let eccentricity src =
-    Array.fill dist 0 n (-1);
-    dist.(src) <- 0;
-    queue.(0) <- src;
-    let head = ref 0 and tail = ref 1 in
-    while !head < !tail do
-      let u = queue.(!head) in
-      incr head;
-      for i = offsets.(u) to offsets.(u + 1) - 1 do
-        let v = targets.(i) in
-        if dist.(v) < 0 then begin
-          dist.(v) <- dist.(u) + 1;
-          queue.(!tail) <- v;
-          incr tail
-        end
-      done
-    done;
-    (* BFS dequeues in non-decreasing distance: the last node is the farthest. *)
-    if !tail < present then -1 else dist.(queue.(!tail - 1))
-  in
+  let dist = Graph.Csr.ints n and queue = Graph.Csr.ints n in
   let rec go u acc =
     if u = n then Some acc
     else if not (Graph.mem g u) then go (u + 1) acc
     else
-      let e = eccentricity u in
-      if e < 0 then None else go (u + 1) (max acc e)
+      let _, ecc, reached = Graph.Csr.bfs csr ~dist ~queue u in
+      if reached < present then None else go (u + 1) (max acc ecc)
   in
   go 0 0
 

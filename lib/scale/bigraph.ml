@@ -2,18 +2,22 @@ module Graph = Ftagg_graph.Graph
 module Gen = Ftagg_graph.Gen
 module Prng = Ftagg_util.Prng
 
-type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+module Csr = Graph.Csr
 
-type t = {
-  n : int;
-  m : int;
+type ints = Csr.ints
+
+type t = Csr.t = {
+  nodes : int;
   offsets : ints;
   targets : ints;
 }
 
-let make_ints len : ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len
-let get = Bigarray.Array1.unsafe_get
-let set = Bigarray.Array1.unsafe_set
+let make_ints = Csr.ints
+
+(* Typed, so the compiler emits a direct load or store rather than a
+   call to the generic Bigarray accessor. *)
+let get (a : ints) i = Bigarray.Array1.unsafe_get a i
+let set (a : ints) i x = Bigarray.Array1.unsafe_set a i x
 
 (* ------------------------------------------------------------------ *)
 (* Row sorting: in-place quicksort with an insertion-sort tail.  Rows  *)
@@ -144,54 +148,18 @@ let of_iter ~n iter =
     done
   done;
   set offsets n !w;
-  let targets = Bigarray.Array1.sub targets 0 !w in
-  { n; m = !w / 2; offsets; targets }
+  { nodes = n; offsets; targets = Bigarray.Array1.sub targets 0 !w }
 
-let of_graph g =
-  let csr = Graph.csr g in
-  let n = csr.Graph.Csr.nodes in
-  let offs = csr.Graph.Csr.offsets and tgts = csr.Graph.Csr.targets in
-  let offsets = make_ints (n + 1) in
-  for i = 0 to n do
-    set offsets i offs.(i)
-  done;
-  let total = offs.(n) in
-  let targets = make_ints total in
-  for i = 0 to total - 1 do
-    set targets i tgts.(i)
-  done;
-  { n; m = total / 2; offsets; targets }
+let n (t : t) = t.nodes
+let num_edges (t : t) = Bigarray.Array1.dim t.targets / 2
+let degree = Csr.degree
+let iter_neighbors = Csr.iter_neighbors
 
-let n t = t.n
-let num_edges t = t.m
-let degree t u = get t.offsets (u + 1) - get t.offsets u
-
-let iter_neighbors t u f =
-  for i = get t.offsets u to get t.offsets (u + 1) - 1 do
-    f (get t.targets i)
-  done
-
-let to_graph t =
-  Graph.of_iter ~n:t.n (fun emit ->
-      for u = 0 to t.n - 1 do
+let to_graph (t : t) =
+  Graph.of_iter ~n:t.nodes (fun emit ->
+      for u = 0 to t.nodes - 1 do
         iter_neighbors t u (fun v -> if v > u then emit u v)
       done)
-
-let equal_csr t csr =
-  let offs = csr.Graph.Csr.offsets and tgts = csr.Graph.Csr.targets in
-  t.n = csr.Graph.Csr.nodes
-  && Array.length offs = t.n + 1
-  && (let ok = ref true in
-      for i = 0 to t.n do
-        if get t.offsets i <> offs.(i) then ok := false
-      done;
-      !ok)
-  && Array.length tgts = Bigarray.Array1.dim t.targets
-  && (let ok = ref true in
-      for i = 0 to Array.length tgts - 1 do
-        if get t.targets i <> tgts.(i) then ok := false
-      done;
-      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Scale topologies                                                    *)
@@ -259,15 +227,15 @@ let build spec ~n ~seed = of_iter ~n (iter_spec spec ~n ~seed)
 (* Validation and structure                                            *)
 (* ------------------------------------------------------------------ *)
 
-let degree_histogram t =
+let degree_histogram (t : t) =
   let tbl = Hashtbl.create 16 in
-  for u = 0 to t.n - 1 do
+  for u = 0 to t.nodes - 1 do
     let d = degree t u in
     Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d))
   done;
   Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl [] |> List.sort compare
 
-let has_edge t u v =
+let has_edge (t : t) u v =
   (* binary search in row u *)
   let lo = ref (get t.offsets u) and hi = ref (get t.offsets (u + 1)) in
   let found = ref false in
@@ -278,55 +246,32 @@ let has_edge t u v =
   done;
   !found
 
-(* BFS over the CSR with flat scratch; returns (farthest node, its
-   distance, visited count).  [dist] must have length n. *)
-let bfs t src dist =
-  Bigarray.Array1.fill dist (-1);
-  let queue = make_ints t.n in
-  set queue 0 src;
-  set dist src 0;
-  let head = ref 0 and tail = ref 1 in
-  let far = ref src and ecc = ref 0 in
-  while !head < !tail do
-    let u = get queue !head in
-    incr head;
-    let du = get dist u in
-    if du > !ecc then begin
-      ecc := du;
-      far := u
-    end;
-    for i = get t.offsets u to get t.offsets (u + 1) - 1 do
-      let v = get t.targets i in
-      if get dist v < 0 then begin
-        set dist v (du + 1);
-        set queue !tail v;
-        incr tail
-      end
-    done
-  done;
-  (!far, !ecc, !tail)
+(* [sweep t src] is [Csr.bfs] from [src]; the scratch is allocated once
+   per [sweep t] and shared by its calls. *)
+let sweep (t : t) =
+  let dist = make_ints t.nodes and queue = make_ints t.nodes in
+  Csr.bfs t ~dist ~queue
 
-let connected t =
-  let dist = make_ints t.n in
-  let _, _, visited = bfs t Graph.root dist in
-  visited = t.n
+let connected (t : t) =
+  let _, _, reached = sweep t Graph.root in
+  reached = t.nodes
 
 let pseudo_diameter t =
-  let dist = make_ints t.n in
-  let far, _, _ = bfs t Graph.root dist in
-  let _, ecc, _ = bfs t far dist in
+  let bfs = sweep t in
+  let far, _, _ = bfs Graph.root in
+  let _, ecc, _ = bfs far in
   max ecc 1
 
-let validate ?spec t =
+let validate ?spec (t : t) =
   let exception Bad of string in
   let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
   try
-    for u = 0 to t.n - 1 do
+    for u = 0 to t.nodes - 1 do
       let lo = get t.offsets u and hi = get t.offsets (u + 1) in
       if lo > hi then bad "node %d: negative row" u;
       for i = lo to hi - 1 do
         let v = get t.targets i in
-        if v < 0 || v >= t.n then bad "node %d: target %d out of range" u v;
+        if v < 0 || v >= t.nodes then bad "node %d: target %d out of range" u v;
         if v = u then bad "node %d: self-loop" u;
         if i > lo && v <= get t.targets (i - 1) then bad "node %d: row not strictly ascending" u;
         if not (has_edge t v u) then bad "edge %d-%d not symmetric" u v
@@ -337,7 +282,7 @@ let validate ?spec t =
     | None -> ()
     | Some s ->
       let min_deg = ref max_int and max_deg = ref 0 in
-      for u = 0 to t.n - 1 do
+      for u = 0 to t.nodes - 1 do
         let d = degree t u in
         if d < !min_deg then min_deg := d;
         if d > !max_deg then max_deg := d

@@ -1,43 +1,38 @@
-(** Streaming million-node graphs: a packed CSR over Bigarray-backed int
-    arrays, built from a single pass over an edge emission.
+(** Streaming million-node graphs into the library's one CSR type,
+    {!Ftagg_graph.Graph.Csr}, built from a single pass over an edge
+    emission.
 
     The materialised {!Ftagg_graph.Graph} costs one [Set.Make(Int)] node
     per edge endpoint (~hundreds of bytes/edge with boxing) — fine at
-    10^3 nodes, hopeless at 10^6.  A [Bigraph.t] stores the same
-    adjacency as two flat off-heap int arrays (~16 bytes/directed edge),
-    so a 1M-node, 4M-edge topology is ~130 MB instead of many GB, and
-    the GC never scans it.
+    10^3 nodes, hopeless at 10^6.  A CSR stores the same adjacency as
+    two flat off-heap int arrays (~16 bytes/directed edge), so a
+    1M-node, 4M-edge topology is ~130 MB instead of many GB, and the GC
+    never scans it.
 
     Construction streams: {!of_iter} consumes the same [emit u v]
     emission that [Gen.iter_edges] produces (one edge source for both
     the small-graph and the scale path), buffering endpoints in fixed
     8 MB chunks, then counting, prefix-summing, filling, sorting and
     deduplicating each row in place.  Rows end up sorted ascending with
-    self-loops and duplicates dropped — exactly the
-    {!Ftagg_graph.Graph.Csr} row discipline, so an executor walking a
-    [Bigraph] sees the same neighbour order (and hence produces the same
-    PRNG streams and inboxes) as [Engine.run] walking
-    [Graph.csr (Graph.of_iter ...)] of the same emission; {!equal_csr}
-    checks that equivalence and the differential tests pin it. *)
+    self-loops and duplicates dropped — exactly what [Graph.csr] gives
+    for [Graph.of_iter] of the same emission, so the two are equal under
+    [=] (the differential tests pin it) and the round kernel sees the
+    same neighbour order, PRNG streams and inboxes on either. *)
 
-type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type ints = Ftagg_graph.Graph.Csr.ints
 
-type t = private {
-  n : int;  (** node count *)
-  m : int;  (** undirected edge count after dedup *)
-  offsets : ints;  (** [n + 1] entries *)
+type t = Ftagg_graph.Graph.Csr.t = private {
+  nodes : int;  (** node count *)
+  offsets : ints;  (** [nodes + 1] entries *)
   targets : ints;  (** [2m] entries; row [u] sorted ascending *)
 }
-(** Exposed for hot loops; treat the arrays as read-only. *)
+(** Exposed for hot loops; treat the arrays as read-only.  [Graph.csr g]
+    is a [t] too: snapshot a materialised graph with it. *)
 
 val of_iter : n:int -> ((int -> int -> unit) -> unit) -> t
 (** [of_iter ~n iter] builds the CSR from [iter emit].  Duplicate edges
     collapse; self-loops and out-of-range endpoints raise
     [Invalid_argument] (matching [Graph.of_iter]). *)
-
-val of_graph : Ftagg_graph.Graph.t -> t
-(** Snapshot a materialised graph (its present subgraph, like
-    [Graph.csr]).  For differential tests and small-graph interop. *)
 
 val to_graph : t -> Ftagg_graph.Graph.t
 (** Materialise (small graphs only — costs what [Graph.t] costs). *)
@@ -46,9 +41,6 @@ val n : t -> int
 val num_edges : t -> int
 val degree : t -> int -> int
 val iter_neighbors : t -> int -> (int -> unit) -> unit
-
-val equal_csr : t -> Ftagg_graph.Graph.Csr.t -> bool
-(** Row-exact equality with a materialised CSR snapshot. *)
 
 (** {2 Scale topologies} *)
 

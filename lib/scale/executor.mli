@@ -1,29 +1,32 @@
-(** Multi-domain partitioned round executor.
+(** Multi-domain partitioned round executor: the scale entry point to
+    the engine's round kernel ({!Ftagg_sim.Engine.run_csr}).
 
     Runs an {!Ftagg_sim.Engine.protocol} over a {!Bigraph} CSR with the
     node range split into [domains] contiguous partitions, one OCaml
     domain each.  The synchronous model's round boundary is the one true
     barrier: within a round each partition writes only its own slots of
     the states / next-broadcast arrays and reads anything from the
-    previous round's (immutable-for-the-round) double buffers, so the
-    only synchronisation is a generation-counted barrier per round.
+    previous round's broadcasts, so the only synchronisation is a
+    generation-counted barrier per round.  The executor adds the memory
+    meter, the registry gauges and nothing else: the loop, the inbox
+    walk and the bit accounting are the kernel's own, and traffic is
+    read straight from the broadcast slots.
 
     {b Differential pin}: with the same [seed], [failures] and topology,
     [run] produces byte-identical states and metrics to [Engine.run] on
-    the materialised graph, for every domain count — the per-node PRNG
-    streams are split in the same order, inboxes are assembled by the
-    same [Engine.deliver] walk over the same (ascending) CSR rows, and
-    bits are charged by the same [Engine.sum_bits].  Message loss is the
-    one [Engine.run] feature {e not} offered: per-edge loss draws consume
-    a shared PRNG stream in global node order, which no partitioning can
-    reproduce; the paper's model is lossless anyway.
+    the materialised graph, for every domain count — both are the same
+    kernel over equal CSRs.  Message loss is the one [Engine.run]
+    feature {e not} offered: per-edge loss draws consume a shared PRNG
+    stream in global node order, which no partitioning can reproduce;
+    the paper's model is lossless anyway.
 
     Failure schedules apply as in [Engine.run] (crash = stop, not message
-    loss).  Torn barriers abort cleanly: an exception in any partition is
-    captured, every other partition finishes its round, workers are
-    stopped and joined, pool slots are released, and
-    {!Partition_failed} is raised on the caller — no deadlock, no leaked
-    domain. *)
+    loss).  Torn barriers abort cleanly: at [domains > 1] an exception in
+    any partition is captured, every other partition finishes its round,
+    workers are stopped and joined, and {!Partition_failed} is raised on
+    the caller — no deadlock, no leaked domain.  At [domains = 1] there
+    is no worker and the exception propagates unwrapped, as it does from
+    [Engine.run]. *)
 
 exception
   Partition_failed of {
@@ -31,9 +34,11 @@ exception
     partition : int;
     exn : exn;  (** what the partition raised *)
   }
+(** The same exception as {!Ftagg_sim.Engine.Partition_failed}: a
+    handler for either catches both. *)
 
 val partitions : n:int -> domains:int -> (int * int) array
-(** The contiguous split: partition [k] owns nodes
+(** {!Ftagg_sim.Engine.partitions}: partition [k] owns nodes
     [\[k·n/D, (k+1)·n/D)]. *)
 
 val frontier_edges : Bigraph.t -> domains:int -> int
@@ -43,7 +48,6 @@ val frontier_edges : Bigraph.t -> domains:int -> int
 val run :
   ?domains:int ->
   ?meter:Mem.t ->
-  ?pool:Pool.t ->
   ?registry:Ftagg_obs.Registry.t ->
   graph:Bigraph.t ->
   failures:Ftagg_sim.Failure.t ->
@@ -51,12 +55,11 @@ val run :
   seed:int ->
   ('state, 'msg) Ftagg_sim.Engine.protocol ->
   'state array * Ftagg_sim.Metrics.t
-(** Execute.  [domains] defaults to 1 (still the scale data path: CSR
-    walk, pooled traffic bitmaps).  [meter] is checked at the round
-    barrier; its ceiling aborts via {!Mem.Ceiling_exceeded}.  [pool]
-    (default: a private 2-slot pool) must offer slots of at least
-    [Bigraph.n graph] bytes; the two traffic bitmaps are acquired from it
-    at start and always released.  [registry] receives
+(** Execute.  [domains] defaults to 1 (1 to 64; the kernel runs on the
+    caller then).  [meter] is checked after every round's barrier; its
+    ceiling aborts via {!Mem.Ceiling_exceeded}.  [registry] receives
     [scale_rounds_total], [scale_domains], [scale_frontier_edges] and
     [scale_minor_words_per_round] (coordinator-domain minor allocation
-    per executed round — the allocation-regression canary). *)
+    per executed round, the protocol's [init] included — the
+    allocation-regression canary).  A schedule whose size differs from
+    [Bigraph.n graph] raises [Invalid_argument]. *)

@@ -144,10 +144,119 @@ let set_broadcast slots u out =
   | [] -> ( match Array.unsafe_get slots u with [] -> () | _ -> Array.unsafe_set slots u [])
   | _ -> Array.unsafe_set slots u out
 
-(* The one round kernel behind [run] and [run_chaos]: observably
-   identical to [run_reference] (same states, metrics and PRNG streams)
-   when no chaos knob is set, but the delivery loop walks a CSR snapshot
-   of the adjacency with no per-round set filtering, no
+(* ------------------------------------------------------------------ *)
+(* Partitioning across domains                                         *)
+(* ------------------------------------------------------------------ *)
+
+exception
+  Partition_failed of {
+    round : int;
+    partition : int;
+    exn : exn;
+  }
+
+let partitions ~n ~domains = Array.init domains (fun k -> (k * n / domains, (k + 1) * n / domains))
+
+(* The generation-counted round barrier between the coordinator (which
+   runs partition 0) and one worker domain per other partition.  Bumping
+   [gen] releases the workers into round [round]; each decrements
+   [pending] when done, and the last one wakes the coordinator.  The
+   mutex orders one round's writes before the next round's reads. *)
+type barrier = {
+  lock : Mutex.t;
+  cond : Condition.t;
+  mutable gen : int;
+  mutable round : int;
+  mutable pending : int;
+  mutable stop : bool;
+  mutable sent : bool;  (** did any partition broadcast this round? *)
+  mutable failed : (int * int * exn) option;  (** partition, round, exn *)
+}
+
+(* Record partition [k]'s outcome of round [r]; call under the lock. *)
+let settle b k r = function
+  | Ok sent -> if sent then b.sent <- true
+  | Error e -> if b.failed = None then b.failed <- Some (k, r, e)
+
+let worker b step k () =
+  let my_gen = ref 0 in
+  let running = ref true in
+  while !running do
+    Mutex.lock b.lock;
+    while b.gen = !my_gen && not b.stop do
+      Condition.wait b.cond b.lock
+    done;
+    if b.stop then begin
+      Mutex.unlock b.lock;
+      running := false
+    end
+    else begin
+      my_gen := b.gen;
+      let r = b.round in
+      Mutex.unlock b.lock;
+      let outcome = try Ok (step k r) with e -> Error e in
+      Mutex.lock b.lock;
+      settle b k r outcome;
+      b.pending <- b.pending - 1;
+      if b.pending = 0 then Condition.broadcast b.cond;
+      Mutex.unlock b.lock
+    end
+  done
+
+(* Start one worker per partition but the first; returns the per-round
+   step (partition 0 on the caller, then the barrier) and the shutdown.
+   Every partition finishes its round before a failure is raised. *)
+let spawn_partitions ~domains step =
+  let b =
+    {
+      lock = Mutex.create ();
+      cond = Condition.create ();
+      gen = 0;
+      round = 0;
+      pending = 0;
+      stop = false;
+      sent = false;
+      failed = None;
+    }
+  in
+  let workers = Array.init (domains - 1) (fun i -> Domain.spawn (worker b step (i + 1))) in
+  let step_round r =
+    Mutex.lock b.lock;
+    b.round <- r;
+    b.sent <- false;
+    b.pending <- domains - 1;
+    b.gen <- b.gen + 1;
+    Condition.broadcast b.cond;
+    Mutex.unlock b.lock;
+    let own = try Ok (step 0 r) with e -> Error e in
+    Mutex.lock b.lock;
+    while b.pending > 0 do
+      Condition.wait b.cond b.lock
+    done;
+    settle b 0 r own;
+    let failed = b.failed and sent = b.sent in
+    Mutex.unlock b.lock;
+    match failed with
+    | Some (partition, round, exn) -> raise (Partition_failed { round; partition; exn })
+    | None -> sent
+  in
+  let shutdown () =
+    Mutex.lock b.lock;
+    b.stop <- true;
+    Condition.broadcast b.cond;
+    Mutex.unlock b.lock;
+    Array.iter Domain.join workers
+  in
+  (step_round, shutdown)
+
+(* ------------------------------------------------------------------ *)
+(* The round kernel                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The one round kernel behind [run], [run_chaos] and the scale
+   executor: observably identical to [run_reference] (same states,
+   metrics and PRNG streams) when no chaos knob is set, but the delivery
+   loop walks a CSR with no per-round set filtering, no
    [List.concat_map] churn and no closure allocation — the only
    allocations left are the inbox cells the protocol API requires.
 
@@ -158,15 +267,22 @@ let set_broadcast slots u out =
    matches both.  A delayed delivery is held
    at the receiver and arrives next round ahead of that round's traffic;
    it survives the sender's crash (in flight = in flight).  [crash] is
-   the live schedule: [online] lowers entries of it, so [run_chaos]
-   hands in a private copy. *)
-let kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~crash ~max_rounds
-    ~seed proto =
+   the live schedule: [online] lowers entries of it.
+
+   With [domains > 1] the nodes are split by [partitions], one domain
+   each.  Within a round a partition writes only its own slots of
+   [states], the next-broadcast arrays and the metrics, and reads the
+   previous round's broadcasts, so the barrier is the only
+   synchronisation.  Everything that needs the global node order (fault
+   draws, the adversary's broadcaster list, the observer and obs) is
+   refused there by [run_csr]; [watch] runs on the coordinator after the
+   barrier. *)
+let kernel ~domains ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~csr ~crash
+    ~max_rounds ~seed proto =
   let { loss; dup; delay } = faults in
   let faulty = loss > 0.0 || dup > 0.0 || delay > 0.0 in
   let delaying = delay > 0.0 in
-  let n = Graph.n graph in
-  let csr = Graph.csr graph in
+  let n = csr.Csr.nodes in
   let offsets = csr.Csr.offsets and targets = csr.Csr.targets in
   let rng = Prng.create seed in
   let loss_rng = Prng.split rng in
@@ -184,7 +300,7 @@ let kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~cras
   (* Reusable per-node fault outcomes, one slot per incident edge of the
      busiest node: 0 = nothing arrives, 1 or 2 = that many copies arrive
      now, -1 or -2 = that many copies arrive next round. *)
-  let copies = Array.make (max 1 (Csr.max_degree csr)) 0 in
+  let copies = Array.make (if faulty then max 1 (Csr.max_degree csr) else 0) 0 in
   (* [traffic] = did anyone broadcast last round?  When false, every
      fresh inbox is empty and no fault draw would happen (draws are only
      made for neighbours with a non-empty in-flight slot), so the whole
@@ -193,32 +309,25 @@ let kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~cras
   let traffic = ref false in
   (* This round's senders, newest first; kept only for [online]. *)
   let rev_broadcasters = ref [] in
-  let violation = ref None in
-  let round = ref 1 in
-  let halted = ref false in
-  with_obs obs @@ fun () ->
-  while (not !halted) && !round <= max_rounds do
-    let r = !round in
-    Metrics.note_round metrics r;
-    (match obs with Some o -> Obs.on_round o r | None -> ());
+  (* Round [r] for nodes [lo, hi); says whether any of them broadcast. *)
+  let step_range lo hi r =
     let inflight = !in_flight and nextflight = !next_flight in
     let heldnow = !held and heldnext = !next_held in
     let had_traffic = !traffic in
-    traffic := false;
-    rev_broadcasters := [];
-    for u = 0 to n - 1 do
+    let sent = ref false in
+    for u = lo to hi - 1 do
       if Array.unsafe_get crash u > r then begin
         let fresh =
           if not had_traffic then []
           else begin
-            let lo = Array.unsafe_get offsets u in
-            let hi = Array.unsafe_get offsets (u + 1) in
+            let lo = Bigarray.Array1.unsafe_get offsets u in
+            let hi = Bigarray.Array1.unsafe_get offsets (u + 1) in
             if not faulty then begin
               (* Build front-to-back order by walking neighbours
                  backwards. *)
               let acc = ref [] in
               for i = hi - 1 downto lo do
-                let v = Array.unsafe_get targets i in
+                let v = Bigarray.Array1.unsafe_get targets i in
                 match Array.unsafe_get inflight v with
                 | [] -> ()
                 | msgs -> acc := deliver v msgs !acc
@@ -230,7 +339,7 @@ let kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~cras
                  record the outcomes forwards first. *)
               for i = lo to hi - 1 do
                 Array.unsafe_set copies (i - lo)
-                  (match Array.unsafe_get inflight (Array.unsafe_get targets i) with
+                  (match Array.unsafe_get inflight (Bigarray.Array1.unsafe_get targets i) with
                   | [] -> 0
                   | _ ->
                     if draw loss then 0
@@ -241,7 +350,7 @@ let kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~cras
               done;
               let acc = ref [] and late = ref [] in
               for i = hi - 1 downto lo do
-                let v = Array.unsafe_get targets i in
+                let v = Bigarray.Array1.unsafe_get targets i in
                 match Array.unsafe_get copies (i - lo) with
                 | 0 -> ()
                 | 1 -> acc := deliver v inflight.(v) !acc
@@ -275,7 +384,7 @@ let kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~cras
         match out with
         | [] -> ()
         | _ ->
-          traffic := true;
+          sent := true;
           (match online with Some _ -> rev_broadcasters := u :: !rev_broadcasters | None -> ());
           let bits = sum_bits proto.msg_bits 0 out in
           Metrics.charge metrics ~node:u ~bits;
@@ -289,14 +398,38 @@ let kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~cras
         if delaying then set_broadcast heldnow u []
       end
     done;
-    (* Every slot of [nextflight] now holds this round's broadcast (a
-       slot is stored only when its content changes), and every slot of
-       [heldnow] has been consumed, so swapping the array pairs replaces
-       a blit + fill without copying. *)
-    in_flight := nextflight;
-    next_flight := inflight;
-    held := heldnext;
-    next_held := heldnow;
+    !sent
+  in
+  let step_round, shutdown =
+    if domains = 1 then ((fun r -> step_range 0 n r), ignore)
+    else
+      let parts = partitions ~n ~domains in
+      spawn_partitions ~domains (fun k r ->
+          let lo, hi = parts.(k) in
+          step_range lo hi r)
+  in
+  let violation = ref None in
+  let round = ref 1 in
+  let halted = ref false in
+  with_obs obs @@ fun () ->
+  Fun.protect ~finally:shutdown @@ fun () ->
+  while (not !halted) && !round <= max_rounds do
+    let r = !round in
+    Metrics.note_round metrics r;
+    (match obs with Some o -> Obs.on_round o r | None -> ());
+    rev_broadcasters := [];
+    let sent = step_round r in
+    (* Every slot of the next-round arrays now holds this round's
+       broadcast (a slot is stored only when its content changes), and
+       every held slot has been consumed, so swapping the array pairs
+       replaces a blit + fill without copying. *)
+    let fl = !in_flight in
+    in_flight := !next_flight;
+    next_flight := fl;
+    let hl = !held in
+    held := !next_held;
+    next_held := hl;
+    traffic := sent;
     (match watch with
     | Some w when Option.is_none !violation -> (
       match
@@ -329,30 +462,47 @@ let kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~cras
   done;
   (states, metrics, !violation)
 
-let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
-  if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
-  let states, metrics, _ =
-    kernel ?observer ?obs ~faults:{ no_faults with loss } ~halt_on_violation:true ~graph
-      ~crash:(Failure.crash_rounds failures) ~max_rounds ~seed proto
-  in
-  (states, metrics)
-
-let run_chaos ?observer ?obs ?(faults = no_faults) ?online ?watch ?(halt_on_violation = true)
-    ~graph ~failures ~max_rounds ~seed proto =
+let run_csr ?(domains = 1) ?observer ?obs ?(faults = no_faults) ?online ?watch
+    ?(halt_on_violation = true) ~csr ~failures ~max_rounds ~seed proto =
   let { loss; dup; delay } = faults in
-  if loss < 0.0 || loss > 1.0 then invalid_arg "Engine.run_chaos: loss must be in [0, 1]";
-  if dup < 0.0 || dup > 1.0 then invalid_arg "Engine.run_chaos: dup must be in [0, 1]";
-  if delay < 0.0 || delay > 1.0 then invalid_arg "Engine.run_chaos: delay must be in [0, 1]";
-  (* A private copy: online crash decisions must not mutate the caller's
+  if loss < 0.0 || loss > 1.0 then invalid_arg "Engine.run_csr: loss must be in [0, 1]";
+  if dup < 0.0 || dup > 1.0 then invalid_arg "Engine.run_csr: dup must be in [0, 1]";
+  if delay < 0.0 || delay > 1.0 then invalid_arg "Engine.run_csr: delay must be in [0, 1]";
+  if domains < 1 || domains > 64 then invalid_arg "Engine.run_csr: need 1 <= domains <= 64";
+  if
+    domains > 1
+    && (loss > 0.0 || dup > 0.0 || delay > 0.0 || Option.is_some online
+       || Option.is_some observer || Option.is_some obs)
+  then invalid_arg "Engine.run_csr: faults, online, observer and obs need domains = 1";
+  if Array.length (Failure.crash_rounds failures) <> csr.Csr.nodes then
+    invalid_arg "Engine.run_csr: failure schedule size mismatch";
+  (* Online crash decisions go to a private copy, never the caller's
      oblivious schedule. *)
-  let crash = Array.copy (Failure.crash_rounds failures) in
+  let crash =
+    match online with
+    | None -> Failure.crash_rounds failures
+    | Some _ -> Array.copy (Failure.crash_rounds failures)
+  in
   let states, metrics, violation =
-    kernel ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~graph ~crash ~max_rounds
-      ~seed proto
+    kernel ~domains ?observer ?obs ~faults ?online ?watch ~halt_on_violation ~csr ~crash
+      ~max_rounds ~seed proto
   in
   {
     c_states = states;
     c_metrics = metrics;
-    c_schedule = Failure.of_crash_rounds crash;
+    c_schedule = (match online with None -> failures | Some _ -> Failure.of_crash_rounds crash);
     c_violation = violation;
   }
+
+let run ?observer ?obs ?(loss = 0.0) ~graph ~failures ~max_rounds ~seed proto =
+  if loss < 0.0 || loss >= 1.0 then invalid_arg "Engine.run: loss must be in [0, 1)";
+  let r =
+    run_csr ?observer ?obs ~faults:{ no_faults with loss } ~csr:(Graph.csr graph) ~failures
+      ~max_rounds ~seed proto
+  in
+  (r.c_states, r.c_metrics)
+
+let run_chaos ?observer ?obs ?faults ?online ?watch ?halt_on_violation ~graph ~failures
+    ~max_rounds ~seed proto =
+  run_csr ?observer ?obs ?faults ?online ?watch ?halt_on_violation ~csr:(Graph.csr graph)
+    ~failures ~max_rounds ~seed proto

@@ -68,8 +68,8 @@ val run :
 
     The delivery loop iterates a {!Ftagg_graph.Graph.Csr} snapshot of the
     adjacency taken once at run start, allocating nothing per round beyond
-    the inbox cells the [step] API requires.  It is the round kernel
-    {!run_chaos} shares, with every chaos knob but [loss] off. *)
+    the inbox cells the [step] API requires.  It is {!run_csr} with
+    every chaos knob but [loss] off. *)
 
 (** {2 Chaos instrumentation}
 
@@ -166,32 +166,70 @@ val run_chaos :
     are additionally forwarded to it, so chaos incidents carry a
     telemetry tail.
 
-    {!run} and {!run_chaos} are thin wrappers over one CSR round kernel,
-    so a chaos run costs what {!run} costs plus its faults, adversary
-    and watchdog.  Fault draws are made per incident edge with traffic,
+    {!run} and {!run_chaos} are thin wrappers over {!run_csr}, so a
+    chaos run costs what {!run} costs plus its faults, adversary and
+    watchdog.  Fault draws are made per incident edge with traffic,
     in ascending neighbour order — loss, then (if delivered) dup, then
     delay, each only when its probability is positive — so the PRNG
     streams match those of the list-based differential oracle in
     [test/chaos_oracle.ml]. *)
 
-(** {2 Hot-path building blocks}
+(** {2 The round kernel}
 
-    Exposed so [Scale.Executor] — the multi-domain partitioned executor —
-    assembles inboxes and charges bits with {e exactly} the same code as
-    {!run}, keeping the two byte-identical on identical inputs. *)
+    {!run} and {!run_chaos} snapshot their graph with
+    [Ftagg_graph.Graph.csr] and hand it to {!run_csr}, the library's one
+    production round loop; [Scale.Executor] calls it directly on a
+    streamed million-node CSR.  The loop can split the nodes across
+    OCaml domains. *)
 
-val deliver : int -> 'm list -> (int * 'm) list -> (int * 'm) list
-(** [deliver v msgs acc] prepends [(v, m)] for every [m] of [msgs] onto
-    [acc], preserving the order of [msgs]. *)
+exception
+  Partition_failed of {
+    round : int;
+    partition : int;
+    exn : exn;  (** what the partition raised *)
+  }
+(** Raised by {!run_csr} at [domains > 1] when a [step] raised inside
+    some partition.  Every other partition first finishes its round and
+    the worker domains are stopped and joined, so no domain leaks.  At
+    [domains = 1] a [step] exception propagates unwrapped. *)
 
-val sum_bits : ('m -> int) -> int -> 'm list -> int
-(** [sum_bits msg_bits acc msgs] folds the per-payload bit widths. *)
+val partitions : n:int -> domains:int -> (int * int) array
+(** The contiguous split: partition [k] owns nodes
+    [\[k·n/D, (k+1)·n/D)]. *)
 
-val set_broadcast : 'm list array -> int -> 'm list -> unit
-(** [set_broadcast slots u out] makes [slots.(u)] hold [out], storing
-    only when the slot's content changes: an empty broadcast over an
-    empty slot is no store at all.  No bounds check: [u] must be a valid
-    index of [slots]. *)
+val run_csr :
+  ?domains:int ->
+  ?observer:(round:int -> node:int -> 'msg list -> unit) ->
+  ?obs:Ftagg_obs.Obs.t ->
+  ?faults:faults ->
+  ?online:online ->
+  ?watch:'state watch ->
+  ?halt_on_violation:bool ->
+  csr:Ftagg_graph.Graph.Csr.t ->
+  failures:Failure.t ->
+  max_rounds:int ->
+  seed:int ->
+  ('state, 'msg) protocol ->
+  'state chaos_result
+(** {!run_chaos} over a CSR snapshot, with the nodes split into
+    [domains] (default 1, at most 64) contiguous {!partitions}, one
+    domain each.  [run_chaos ~graph] is
+    [run_csr ~csr:(Graph.csr graph)].
+
+    At [domains = 1] the loop runs on the caller with no mutex and no
+    spawned domain.  At [domains > 1] partition 0 runs on the caller and
+    every other partition on a worker domain, with one
+    generation-counted barrier per round: within a round each partition
+    writes only its own nodes' slots and reads the previous round's
+    broadcasts.  The run's states and metrics are identical for every
+    domain count (the per-node PRNG streams are split before the first
+    round, and every inbox is built from the same ascending CSR row).
+    Fault probabilities, [online], [observer] and [obs] depend on the
+    global node order, so at [domains > 1] they raise
+    [Invalid_argument]; [watch] runs on the caller after the barrier and
+    is allowed.  A schedule whose size differs from [csr.nodes] raises
+    [Invalid_argument].  Without [online], [c_schedule] is [failures]
+    itself. *)
 
 val run_reference :
   ?observer:(round:int -> node:int -> 'msg list -> unit) ->

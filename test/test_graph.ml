@@ -3,8 +3,7 @@
 open Ftagg
 open Helpers
 
-(* The list view via the streaming fold — the [Graph.edges] list path is
-   deprecated. *)
+(* Every edge once, as [(u, v)] with [u < v], in [iter_edges] order. *)
 let edge_list g = List.rev (Graph.fold_edges (fun u v acc -> (u, v) :: acc) g [])
 
 let test_of_edges_basic () =

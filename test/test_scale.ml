@@ -1,5 +1,5 @@
-(* lib/scale: streaming CSR graphs, the partitioned executor, pooling and
-   memory metering.
+(* lib/scale: streaming CSR graphs, the partitioned executor and memory
+   metering.
 
    The load-bearing suite is the differential pin: the executor must be
    byte-identical to Engine.run — same results, same per-node bit/msg
@@ -24,7 +24,7 @@ let test_bigraph_matches_csr () =
           let bg = Bigraph.of_iter ~n (Topo.iter_edges fam ~n ~seed) in
           check_true
             (Printf.sprintf "%s n=%d: streamed CSR = materialised CSR" name n)
-            (Bigraph.equal_csr bg (Graph.csr g));
+            (bg = Graph.csr g);
           check_int (Printf.sprintf "%s n=%d: edge count" name n) (Graph.num_edges g)
             (Bigraph.num_edges bg))
         [ 12; 40 ])
@@ -32,17 +32,17 @@ let test_bigraph_matches_csr () =
 
 let test_bigraph_of_graph () =
   let g = Topo.build Topo.Grid ~n:30 ~seed in
-  let bg = Bigraph.of_graph g in
-  check_true "of_graph = csr" (Bigraph.equal_csr bg (Graph.csr g));
-  (* removed nodes get empty rows, like Graph.csr *)
+  let streamed g = Bigraph.of_iter ~n:30 (Graph.iter_edges g) in
+  check_true "csr = streamed present edges" (Graph.csr g = streamed g);
+  (* removed nodes get empty rows, and their edges are not streamed *)
   let g' = Graph.remove_nodes g [ 7 ] in
-  let bg' = Bigraph.of_graph g' in
+  let bg' = Graph.csr g' in
   check_int "removed node row empty" 0 (Bigraph.degree bg' 7);
-  check_true "of_graph respects removal" (Bigraph.equal_csr bg' (Graph.csr g'))
+  check_true "csr respects removal" (bg' = streamed g')
 
 let test_bigraph_roundtrip () =
   let g = Topo.build Topo.Torus ~n:25 ~seed in
-  let back = Bigraph.to_graph (Bigraph.of_graph g) in
+  let back = Bigraph.to_graph (Graph.csr g) in
   let edges gr = List.rev (Graph.fold_edges (fun u v acc -> (u, v) :: acc) gr []) in
   check_true "to_graph round-trips edges" (edges g = edges back)
 
@@ -56,7 +56,7 @@ let test_bigraph_dedup_and_rejects () =
       ignore (Bigraph.of_iter ~n:3 (fun emit -> emit 0 3)))
 
 let test_degree_histogram () =
-  let bg = Bigraph.of_graph (Topo.star 10) in
+  let bg = Graph.csr (Topo.star 10) in
   check_true "star histogram" (Bigraph.degree_histogram bg = [ (1, 9); (9, 1) ])
 
 let test_validate_specs () =
@@ -87,44 +87,20 @@ let test_pref_attach_shape () =
   check_true "min degree >= 1" (!min_deg >= 1);
   (* determinism *)
   let bg' = Bigraph.build (Bigraph.Pref_attach m) ~n:500 ~seed in
-  check_true "same seed, same graph" (Bigraph.equal_csr bg (Graph.csr (Bigraph.to_graph bg')))
+  check_true "same seed, same graph" (bg = Graph.csr (Bigraph.to_graph bg'))
 
 let test_pseudo_diameter () =
   List.iter
     (fun (name, g) ->
       let exact = match Path.diameter g with Some d -> d | None -> assert false in
       check_int (name ^ " pseudo-diameter exact") exact
-        (Bigraph.pseudo_diameter (Bigraph.of_graph g)))
+        (Bigraph.pseudo_diameter (Graph.csr g)))
     [ ("path", Topo.path 50); ("grid", Topo.grid 49); ("star", Topo.star 20);
       ("binary_tree", Topo.binary_tree 31) ]
 
 (* ---------------------------------------------------------------- *)
-(* Pool and Mem                                                      *)
+(* Mem                                                               *)
 (* ---------------------------------------------------------------- *)
-
-let test_pool_cycle () =
-  let reg = Registry.create () in
-  let p = Scale_pool.create ~registry:reg ~name:"t" ~slot_bytes:64 ~slots:2 () in
-  let a = Scale_pool.acquire p in
-  let b = Scale_pool.acquire p in
-  check_int "in_use" 2 (Scale_pool.in_use p);
-  check_int "high water" 2 (Scale_pool.high_water p);
-  (try
-     ignore (Scale_pool.acquire p);
-     Alcotest.fail "exhausted pool acquired"
-   with Scale_pool.Exhausted _ -> ());
-  Scale_pool.release p a;
-  Scale_pool.release p b;
-  check_int "in_use back to 0" 0 (Scale_pool.in_use p);
-  check_int "acquires" 2 (Scale_pool.acquires p);
-  check_int "releases" 2 (Scale_pool.releases p);
-  check_int "acquire counter" 2
-    (Registry.counter reg ~labels:[ ("pool", "t") ] "scale_pool_acquires_total");
-  check_true "in_use gauge 0"
-    (Registry.gauge reg ~labels:[ ("pool", "t") ] "scale_pool_in_use" = Some 0.0);
-  Alcotest.check_raises "foreign buffer"
-    (Invalid_argument "Pool.release: buffer not from this pool") (fun () ->
-      Scale_pool.release p (Bytes.create 7))
 
 let test_mem_meter () =
   check_true "live bytes positive" (Scale_mem.live_bytes () > 0);
@@ -150,8 +126,7 @@ let test_mem_meter () =
 
 let check_pin name ~graph ~failures ~params ~domains =
   let out = Run.agg ~graph ~failures ~params ~seed () in
-  let bg = Bigraph.of_graph graph in
-  let scale = Scale_run.agg ~domains ~graph:bg ~failures ~params ~seed () in
+  let scale = Scale_run.agg ~domains ~graph:(Graph.csr graph) ~failures ~params ~seed () in
   check_true (name ^ ": result") (out.Run.result = scale.Scale_run.result);
   check_int (name ^ ": rounds") out.Run.common.Run.rounds scale.Scale_run.rounds;
   check_int (name ^ ": cc") (Metrics.cc out.Run.common.Run.metrics)
@@ -191,7 +166,7 @@ let test_pin_across_seeds () =
     (fun s ->
       let out = Run.agg ~graph ~failures:(Failure.none ~n) ~params ~seed:s () in
       let scale =
-        Scale_run.agg ~domains:3 ~graph:(Bigraph.of_graph graph) ~failures:(Failure.none ~n)
+        Scale_run.agg ~domains:3 ~graph:(Graph.csr graph) ~failures:(Failure.none ~n)
           ~params ~seed:s ()
       in
       check_true (Printf.sprintf "seed %d result" s) (out.Run.result = scale.Scale_run.result);
@@ -224,7 +199,7 @@ let test_partitions_cover () =
   Array.iteri (fun u c -> check_int (Printf.sprintf "node %d owned once" u) 1 c) covered
 
 let test_frontier_edges () =
-  let bg = Bigraph.of_graph (Topo.path 10) in
+  let bg = Graph.csr (Topo.path 10) in
   check_int "path split in two" 1 (Scale_executor.frontier_edges bg ~domains:2);
   check_int "one partition, no frontier" 0 (Scale_executor.frontier_edges bg ~domains:1)
 
@@ -243,8 +218,6 @@ let test_executor_counters () =
   check_true "domains gauge" (Registry.gauge reg "scale_domains" = Some 2.0);
   check_true "live bytes gauge"
     (match Registry.gauge reg "scale_live_bytes" with Some b -> b > 0.0 | None -> false);
-  check_true "pool returned"
-    (Registry.gauge reg ~labels:[ ("pool", "executor") ] "scale_pool_in_use" = Some 0.0);
   check_true "minor words gauge present"
     (Registry.gauge reg "scale_minor_words_per_round" <> None)
 
@@ -285,7 +258,7 @@ let tally_protocol =
 let test_functional_state_pin () =
   let n = 30 in
   let graph = Topo.build (Topo.Random 0.1) ~n ~seed:5 in
-  let bg = Bigraph.of_graph graph in
+  let bg = Graph.csr graph in
   let max_rounds = 25 in
   List.iter
     (fun (fname, failures) ->
@@ -318,40 +291,105 @@ let test_functional_state_pin () =
 
 let test_torn_barrier () =
   let n = 40 in
-  let bg = Bigraph.of_graph (Topo.ring n) in
-  let pool = Scale_pool.create ~slot_bytes:n ~slots:2 () in
+  let bg = Graph.csr (Topo.ring n) in
   (try
      ignore
-       (Scale_executor.run ~domains:2 ~pool ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:10
-          ~seed
+       (Scale_executor.run ~domains:2 ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:10 ~seed
           (chatty_protocol ~raise_at:3 ~raise_me:(n - 1) ()));
      Alcotest.fail "partition failure not propagated"
    with Scale_executor.Partition_failed { round; partition; exn } ->
      check_int "failed at round" 3 round;
      check_int "failing partition" 1 partition;
      check_true "original exn" (exn = Failure "boom"));
-  (* clean abort: pool slots came back, and the executor is reusable *)
-  check_int "pool released after abort" 0 (Scale_pool.in_use pool);
+  (* one domain has no partition to name: the step's exception as is *)
+  Alcotest.check_raises "unwrapped at one domain" (Failure "boom") (fun () ->
+      ignore
+        (Scale_executor.run ~domains:1 ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:10
+           ~seed
+           (chatty_protocol ~raise_at:3 ~raise_me:(n - 1) ())));
+  (* clean abort: the executor is reusable on the same graph *)
   let states, metrics =
-    Scale_executor.run ~domains:2 ~pool ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:5 ~seed
+    Scale_executor.run ~domains:2 ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:5 ~seed
       (chatty_protocol ())
   in
-  check_int "reusable pool" 0 (Scale_pool.in_use pool);
   check_int "rounds" 5 (Metrics.rounds metrics);
   check_int "states intact" n (Array.length states)
 
 let test_ceiling_aborts_run () =
   let n = 40 in
-  let bg = Bigraph.of_graph (Topo.ring n) in
-  let pool = Scale_pool.create ~slot_bytes:n ~slots:2 () in
+  let bg = Graph.csr (Topo.ring n) in
   let meter = Scale_mem.create ~limit_bytes:1 ~check_every:2 ~n () in
-  (try
-     ignore
-       (Scale_executor.run ~domains:2 ~pool ~meter ~graph:bg ~failures:(Failure.none ~n)
-          ~max_rounds:10 ~seed (chatty_protocol ()));
-     Alcotest.fail "ceiling not enforced"
-   with Scale_mem.Ceiling_exceeded { round; _ } -> check_int "tripped at first sample" 2 round);
-  check_int "pool released after ceiling abort" 0 (Scale_pool.in_use pool)
+  try
+    ignore
+      (Scale_executor.run ~domains:2 ~meter ~graph:bg ~failures:(Failure.none ~n) ~max_rounds:10
+         ~seed (chatty_protocol ()));
+    Alcotest.fail "ceiling not enforced"
+  with Scale_mem.Ceiling_exceeded { round; _ } -> check_int "tripped at first sample" 2 round
+
+(* ---------------------------------------------------------------- *)
+(* The partitioned kernel: Engine.run_csr at several domain counts   *)
+(* ---------------------------------------------------------------- *)
+
+let test_partitioned_refuses_global_hooks () =
+  let n = 20 in
+  let csr = Graph.csr (Topo.ring n) in
+  let failures = Failure.none ~n in
+  let refused name f =
+    Alcotest.check_raises name
+      (Invalid_argument "Engine.run_csr: faults, online, observer and obs need domains = 1")
+      (fun () -> ignore (f 2))
+  in
+  let run ?observer ?obs ?faults ?online domains =
+    Engine.run_csr ~domains ?observer ?obs ?faults ?online ~csr ~failures ~max_rounds:5 ~seed
+      (chatty_protocol ())
+  in
+  refused "loss" (run ~faults:{ Engine.no_faults with loss = 0.1 });
+  refused "dup" (run ~faults:{ Engine.no_faults with dup = 0.1 });
+  refused "delay" (run ~faults:{ Engine.no_faults with delay = 0.1 });
+  refused "online" (run ~online:(fun _ -> []));
+  refused "observer" (run ~observer:(fun ~round:_ ~node:_ _ -> ()));
+  refused "obs" (run ~obs:(Obs.create ~name:"t" ()));
+  (* the same hooks are fine on one domain *)
+  ignore (run ~faults:{ Engine.no_faults with loss = 0.1 } ~online:(fun _ -> []) 1)
+
+let test_partitioned_watch () =
+  let n = 30 in
+  let csr = Graph.csr (Topo.build (Topo.Random 0.1) ~n ~seed:5) in
+  let failures = Failure.kill_nodes ~n ~nodes:[ 3; n - 1 ] ~round:4 in
+  let cap = 40 in
+  let watch v =
+    let cc = Metrics.cc v.Engine.v_metrics in
+    if cc > cap then Some ("bit_cap", Printf.sprintf "cc %d > %d" cc cap) else None
+  in
+  let run domains =
+    Engine.run_csr ~domains ~watch ~csr ~failures ~max_rounds:50 ~seed tally_protocol
+  in
+  let one = run 1 in
+  let at_round =
+    match one.Engine.c_violation with
+    | Some v -> v.Engine.at_round
+    | None -> Alcotest.fail "planted cap did not fire"
+  in
+  check_true "halted at the violation" (Metrics.rounds one.Engine.c_metrics = at_round);
+  check_true "fired before the last round" (at_round < 50);
+  List.iter
+    (fun domains ->
+      let r = run domains in
+      let name = Printf.sprintf "d=%d" domains in
+      check_true (name ^ ": same violation") (r.Engine.c_violation = one.Engine.c_violation);
+      check_true (name ^ ": same states") (r.Engine.c_states = one.Engine.c_states);
+      check_int (name ^ ": rounds") at_round (Metrics.rounds r.Engine.c_metrics);
+      for u = 0 to n - 1 do
+        check_int
+          (Printf.sprintf "%s: bits(%d)" name u)
+          (Metrics.bits_sent one.Engine.c_metrics u)
+          (Metrics.bits_sent r.Engine.c_metrics u);
+        check_int
+          (Printf.sprintf "%s: msgs(%d)" name u)
+          (Metrics.msgs_sent one.Engine.c_metrics u)
+          (Metrics.msgs_sent r.Engine.c_metrics u)
+      done)
+    [ 2; 3 ]
 
 let qcheck_tests =
   let open QCheck in
@@ -361,7 +399,7 @@ let qcheck_tests =
       (fun (n, s, domains) ->
         let graph = Topo.build (Topo.Random 0.1) ~n ~seed:s in
         let params = Params.make ~c:2 ~t:1 ~graph ~inputs:(Array.make n 1) () in
-        let bg = Bigraph.of_graph graph in
+        let bg = Graph.csr graph in
         let failures = Failure.none ~n in
         let base = Scale_run.agg ~domains:1 ~graph:bg ~failures ~params ~seed:s () in
         let split = Scale_run.agg ~domains ~graph:bg ~failures ~params ~seed:s () in
@@ -374,9 +412,8 @@ let qcheck_tests =
       (pair (int_range 5 80) (int_range 0 1000))
       (fun (n, s) ->
         let fam = Topo.Random 0.1 in
-        Bigraph.equal_csr
-          (Bigraph.of_iter ~n (Topo.iter_edges fam ~n ~seed:s))
-          (Graph.csr (Topo.build fam ~n ~seed:s)));
+        Bigraph.of_iter ~n (Topo.iter_edges fam ~n ~seed:s)
+        = Graph.csr (Topo.build fam ~n ~seed:s));
   ]
 
 let suite =
@@ -392,7 +429,6 @@ let suite =
       ("bigraph: validate disconnected", test_validate_disconnected);
       ("bigraph: pref_attach shape", test_pref_attach_shape);
       ("bigraph: pseudo-diameter", test_pseudo_diameter);
-      ("pool: acquire/release cycle", test_pool_cycle);
       ("mem: meter and ceiling", test_mem_meter);
       ("executor: differential pin vs Engine.run", test_differential_pin);
       ("executor: pin across seeds", test_pin_across_seeds);
@@ -403,5 +439,7 @@ let suite =
       ("executor: torn barrier aborts cleanly", test_torn_barrier);
       ("executor: memory ceiling aborts run", test_ceiling_aborts_run);
       ("executor: functional-state protocol pin", test_functional_state_pin);
+      ("kernel: domains > 1 refuses global-order hooks", test_partitioned_refuses_global_hooks);
+      ("kernel: planted-cap watch identical across domains", test_partitioned_watch);
     ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
